@@ -1,5 +1,7 @@
-// Micro-benchmark for the mini relational engine: insert, index build, and
-// indexed/unindexed lookup throughput.
+// Micro-benchmark for the mini relational engine: insert, and
+// indexed/unindexed lookup throughput. The key column is in key order with
+// about eight rows per key, as the importer writes the looked-up columns
+// (e.g. txn_locks.txn_id), so indexed lookups binary-search it.
 #include <benchmark/benchmark.h>
 
 #include "src/db/table.h"
@@ -14,7 +16,7 @@ Table BuildTable(size_t rows, bool indexed) {
                         {"payload", ColumnType::kUint64}});
   Rng rng(5);
   for (size_t i = 0; i < rows; ++i) {
-    table.Insert({static_cast<uint64_t>(i), rng.Below(rows / 8 + 1), rng.Next()});
+    table.Insert({static_cast<uint64_t>(i), static_cast<uint64_t>(i / 8), rng.Next()});
   }
   if (indexed) {
     table.CreateIndex(table.ColumnIndex("key"));

@@ -227,7 +227,8 @@ class ModesPass : public AnalysisPass {
     const TypeRegistry& registry = context.registry();
     ModeAnalyzer analyzer(&context.db(), &registry, &context.observations(),
                           &context.member_access_index(), &context.lock_postings());
-    auto entries = all ? analyzer.Analyze(rules) : analyzer.FindSharedModeWrites(rules);
+    auto entries = all ? analyzer.Analyze(rules, &context.pool())
+                       : analyzer.FindSharedModeWrites(rules, &context.pool());
     ReportSection& section = AddSection(doc, "modes");
     if (entries.empty()) {
       AddTextNode(section, "empty",

@@ -16,6 +16,7 @@
 #include "src/core/derivator.h"
 #include "src/db/database.h"
 #include "src/model/type_registry.h"
+#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 
@@ -51,13 +52,17 @@ class ModeAnalyzer {
                const MemberAccessIndex* member_index = nullptr,
                const LockPostingIndex* postings = nullptr);
 
-  // Annotates every derivation result whose winner names at least one
-  // reader/writer-capable lock. Entries are in `results` order.
-  std::vector<ModeReportEntry> Analyze(const std::vector<DerivationResult>& results) const;
+  // Annotates every derivation result with a non-empty winner. Each
+  // complying group's held locks are walked in acquisition order, as
+  // ClassifyHeldLocks lists them, and greedily matched against the winner on
+  // interned lock ids. Results are sharded over `pool` when given; entries
+  // are in `results` order at any thread count.
+  std::vector<ModeReportEntry> Analyze(const std::vector<DerivationResult>& results,
+                                       ThreadPool* pool = nullptr) const;
 
   // Only the suspicious entries (writes under shared holds).
   std::vector<ModeReportEntry> FindSharedModeWrites(
-      const std::vector<DerivationResult>& results) const;
+      const std::vector<DerivationResult>& results, ThreadPool* pool = nullptr) const;
 
   // Text rendering of one entry (the report IR keeps one node per entry).
   std::string RenderEntry(const ModeReportEntry& entry) const;

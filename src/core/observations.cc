@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <queue>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
+#include "src/core/held_locks.h"
 #include "src/db/schema.h"
 #include "src/util/logging.h"
-#include "src/util/string_util.h"
 
 namespace lockdoc {
 
@@ -213,41 +211,6 @@ std::vector<uint32_t> LockPostingIndex::ComplyingSeqs(const ObservationStore& st
 
 namespace {
 
-// Resolves one lock instance (a row of the locks table) to its class
-// relative to the accessed allocation.
-LockClass ClassifyLock(const Database& db, const Table& locks, const Table& members,
-                       const TypeRegistry& registry, uint64_t lock_row, uint64_t access_alloc) {
-  const size_t kIsStatic = locks.ColumnIndex("is_static");
-  const size_t kNameSid = locks.ColumnIndex("name_sid");
-  const size_t kAddr = locks.ColumnIndex("addr");
-  const size_t kOwnerAlloc = locks.ColumnIndex("owner_alloc_id");
-  const size_t kOwnerMember = locks.ColumnIndex("owner_member_id");
-
-  if (locks.GetUint64(lock_row, kIsStatic) != 0) {
-    uint64_t name_sid = locks.GetUint64(lock_row, kNameSid);
-    if (name_sid != 0) {
-      return LockClass::Global(db.String(static_cast<StringId>(name_sid)));
-    }
-    return LockClass::Global(
-        StrFormat("lock@0x%llx",
-                  static_cast<unsigned long long>(locks.GetUint64(lock_row, kAddr))));
-  }
-
-  uint64_t member_row = locks.GetUint64(lock_row, kOwnerMember);
-  TypeId owner_type =
-      static_cast<TypeId>(members.GetUint64(member_row, members.ColumnIndex("type_id")));
-  const std::string& lock_name = members.GetString(member_row, members.ColumnIndex("name"));
-  const std::string& type_name = registry.layout(owner_type).name();
-  if (locks.GetUint64(lock_row, kOwnerAlloc) == access_alloc) {
-    return LockClass::Same(lock_name, type_name);
-  }
-  return LockClass::Other(lock_name, type_name);
-}
-
-}  // namespace
-
-namespace {
-
 // Open-group key: one folded observation per (txn, alloc, member_row).
 struct GroupKey {
   uint64_t txn = 0;
@@ -283,7 +246,6 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
   const Table& accesses = db.table(LockDocSchema::kAccesses);
   const Table& allocations = db.table(LockDocSchema::kAllocations);
   const Table& members = db.table(LockDocSchema::kMembers);
-  const Table& locks = db.table(LockDocSchema::kLocks);
   const Table& txns = db.table(LockDocSchema::kTxns);
   const Table& txn_locks = db.table(LockDocSchema::kTxnLocks);
 
@@ -352,15 +314,6 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
   std::unordered_map<GroupKey, std::pair<MemberObsKey, size_t>, GroupKeyHash> open_groups;
   using Expiry = std::pair<uint64_t, GroupKey>;  // (txn end_seq, group)
   std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>> expiry;
-
-  // Pass 2's lookups all hit txn_locks.txn_id; build that index on a spare
-  // thread while the serial fold below runs, so the lookups start against a
-  // ready index. (The build is internally synchronized; with no spare
-  // thread it simply happens at the first lookup as usual.)
-  std::optional<std::thread> index_warmer;
-  if (pool != nullptr && pool->thread_count() > 1) {
-    index_warmer.emplace([&txn_locks, kTlTxn] { txn_locks.WarmIndex(kTlTxn); });
-  }
 
   // The fold touches six access columns per row; raw column pointers keep
   // the per-row cost at array reads (columns built by the importer are
@@ -433,9 +386,6 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
     }
     group.seqs.push_back(seq);
   }
-  if (index_warmer.has_value()) {
-    index_warmer->join();
-  }
 
   // --- Pass 2 (parallel): classify each distinct (txn, alloc) pair. ---
   // Tasks only read the database and registry (all const, no lazy state)
@@ -488,7 +438,7 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
             !RangesOverlap(held.range_start, held.range_end, span->first, span->second)) {
           continue;  // The hold does not cover this object.
         }
-        seq.push_back(ClassifyLock(db, locks, members, registry, held.lock_row, task.alloc));
+        seq.push_back(ClassifyLockRow(db, registry, held.lock_row, task.alloc));
       }
       classified[i] = std::move(seq);
     }

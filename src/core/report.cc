@@ -179,7 +179,7 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
         AddHeadedSection(doc, "modes", "reader/writer acquisition modes");
     ModeAnalyzer analyzer(&snapshot.db, &registry, &snapshot.observations,
                           &context.member_access_index(), &context.lock_postings());
-    auto suspicious = analyzer.FindSharedModeWrites(derived);
+    auto suspicious = analyzer.FindSharedModeWrites(derived, &context.pool());
     if (suspicious.empty()) {
       AddTextNode(section, "empty", "no writes under merely-shared holds\n");
     } else {

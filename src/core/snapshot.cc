@@ -676,11 +676,12 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
 }
 
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path) {
-  auto read = ReadFileToString(path);
-  if (!read.ok()) {
-    return read.status();
+  // Mapped, not read: a v2 scan touches only the section headers.
+  auto mapped = MappedFile::Open(path);
+  if (!mapped.ok()) {
+    return mapped.status();
   }
-  return PeekSnapshotTypeCountFromBytes(read.value());
+  return PeekSnapshotTypeCountFromBytes(mapped.value().bytes());
 }
 
 Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {

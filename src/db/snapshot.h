@@ -257,7 +257,7 @@ Status DecodeStringsSection(std::string_view payload, StringPool* pool);
 // v1 table section: name, column definitions, indexed columns, then the
 // rows column-major (u64 varints, f64 raw 8-byte LE bits, strings
 // length-prefixed). Decoding creates the table in `db` (the name must not
-// exist yet) and declares its hash indexes (built lazily on first lookup).
+// exist yet) and declares its indexes (built lazily on first lookup).
 std::string EncodeTableSection(const Table& table);
 Status DecodeTableSection(std::string_view payload, Database* db);
 

@@ -1,6 +1,7 @@
 #include "src/db/table.h"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 
 #include "src/util/csv.h"
@@ -10,7 +11,10 @@
 namespace lockdoc {
 
 Table::Table(std::string name, std::vector<ColumnDef> columns)
-    : name_(std::move(name)), columns_(std::move(columns)), storage_(columns_.size()) {
+    : name_(std::move(name)),
+      columns_(std::move(columns)),
+      storage_(columns_.size()),
+      indexes_(columns_.size()) {
   LOCKDOC_CHECK(!columns_.empty());
 }
 
@@ -80,11 +84,7 @@ RowId Table::Insert(const std::vector<DbValue>& values) {
     }
   }
   ++row_count_;
-  for (auto& [column, index] : indexes_) {
-    if (index->built.load(std::memory_order_acquire)) {
-      index->map[storage_[column].u64[row]].push_back(row);
-    }
-  }
+  ForgetIndexOrders();
   return row;
 }
 
@@ -112,17 +112,11 @@ void Table::SetUint64(RowId row, size_t column, uint64_t value) {
   LOCKDOC_CHECK(row < row_count_ && column < columns_.size());
   LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
   MaterializeColumn(column);
-  uint64_t old_value = storage_[column].u64[row];
-  if (old_value == value) {
+  if (storage_[column].u64[row] == value) {
     return;
   }
   storage_[column].u64[row] = value;
-  auto it = indexes_.find(column);
-  if (it != indexes_.end() && it->second->built.load(std::memory_order_acquire)) {
-    auto& rows = it->second->map[old_value];
-    std::erase(rows, row);
-    it->second->map[value].push_back(row);
-  }
+  ForgetIndexOrder(column);
 }
 
 const uint64_t* Table::ColumnU64Data(size_t column) const {
@@ -142,56 +136,58 @@ const double* Table::ColumnF64Data(size_t column) const {
 void Table::CreateIndex(size_t column) {
   LOCKDOC_CHECK(column < columns_.size());
   LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
-  auto& index = indexes_[column];
-  if (index == nullptr) {
-    index = std::make_unique<LazyIndex>();
+  if (indexes_[column] == nullptr) {
+    indexes_[column] = std::make_unique<std::atomic<IndexState>>(IndexState::kUnchecked);
   }
-  index->map.clear();
-  index->built.store(false, std::memory_order_release);
+  ForgetIndexOrder(column);
 }
 
-bool Table::HasIndex(size_t column) const { return indexes_.count(column) != 0; }
+bool Table::HasIndex(size_t column) const {
+  return column < indexes_.size() && indexes_[column] != nullptr;
+}
 
-void Table::EnsureIndexBuilt(size_t column, LazyIndex& index) const {
-  if (index.built.load(std::memory_order_acquire)) {
-    return;
+void Table::ForgetIndexOrder(size_t column) {
+  if (indexes_[column] != nullptr) {
+    indexes_[column]->store(IndexState::kUnchecked, std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(index_build_mu_);
-  if (index.built.load(std::memory_order_acquire)) {
-    return;
+}
+
+void Table::ForgetIndexOrders() {
+  for (size_t column = 0; column < indexes_.size(); ++column) {
+    ForgetIndexOrder(column);
   }
-  const uint64_t* data = ColumnU64Data(column);
-  for (RowId row = 0; row < row_count_; ++row) {
-    index.map[data[row]].push_back(row);
+}
+
+Table::IndexState Table::CheckIndexOrder(size_t column) const {
+  // The result depends on the rows alone, so threads racing the first
+  // lookup compute and store the same value.
+  std::atomic<IndexState>& index = *indexes_[column];
+  IndexState state = index.load(std::memory_order_relaxed);
+  if (state == IndexState::kUnchecked) {
+    const uint64_t* data = ColumnU64Data(column);
+    state = std::is_sorted(data, data + row_count_) ? IndexState::kSorted : IndexState::kUnsorted;
+    index.store(state, std::memory_order_relaxed);
   }
-  index.built.store(true, std::memory_order_release);
+  return state;
 }
 
 std::vector<RowId> Table::LookupEqual(size_t column, uint64_t value) const {
   LOCKDOC_CHECK(column < columns_.size());
   LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
-  auto index_it = indexes_.find(column);
-  if (index_it != indexes_.end()) {
-    EnsureIndexBuilt(column, *index_it->second);
-    auto it = index_it->second->map.find(value);
-    return it == index_it->second->map.end() ? std::vector<RowId>{} : it->second;
-  }
-  std::vector<RowId> result;
   const uint64_t* data = ColumnU64Data(column);
+  std::vector<RowId> result;
+  if (indexes_[column] != nullptr && CheckIndexOrder(column) == IndexState::kSorted) {
+    auto [lo, hi] = std::equal_range(data, data + row_count_, value);
+    result.resize(static_cast<size_t>(hi - lo));
+    std::iota(result.begin(), result.end(), static_cast<RowId>(lo - data));
+    return result;
+  }
   for (RowId row = 0; row < row_count_; ++row) {
     if (data[row] == value) {
       result.push_back(row);
     }
   }
   return result;
-}
-
-void Table::WarmIndex(size_t column) const {
-  LOCKDOC_CHECK(column < columns_.size());
-  auto index_it = indexes_.find(column);
-  if (index_it != indexes_.end()) {
-    EnsureIndexBuilt(column, *index_it->second);
-  }
 }
 
 void Table::Scan(const std::function<bool(RowId)>& fn) const {
@@ -253,10 +249,7 @@ Status Table::ImportCsv(std::string_view document) {
     column = ColumnData{};
   }
   row_count_ = 0;
-  for (auto& [column, index] : indexes_) {
-    index->map.clear();
-    index->built.store(false, std::memory_order_release);
-  }
+  ForgetIndexOrders();
 
   for (size_t r = 1; r < rows.size(); ++r) {
     const auto& row = rows[r];
@@ -330,19 +323,16 @@ void Table::ResetRows(size_t row_count, std::vector<ColumnData> storage) {
   }
   storage_ = std::move(storage);
   row_count_ = row_count;
-  for (auto& [column, index] : indexes_) {
-    index->map.clear();
-    index->built.store(false, std::memory_order_release);
-  }
+  ForgetIndexOrders();
 }
 
 std::vector<size_t> Table::IndexedColumns() const {
   std::vector<size_t> columns;
-  columns.reserve(indexes_.size());
-  for (const auto& [column, index] : indexes_) {
-    columns.push_back(column);
+  for (size_t column = 0; column < indexes_.size(); ++column) {
+    if (indexes_[column] != nullptr) {
+      columns.push_back(column);
+    }
   }
-  std::sort(columns.begin(), columns.end());
   return columns;
 }
 

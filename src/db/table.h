@@ -1,4 +1,4 @@
-// A column-oriented table with equality hash indexes.
+// A column-oriented table with equality indexes.
 //
 // Numeric columns can be *view-backed*: instead of owning a vector they
 // point into an externally owned buffer (an mmap-ed .lockdb v2 snapshot).
@@ -7,12 +7,16 @@
 // never observe a half-owned column. The buffer behind a view must outlive
 // the table; src/core keeps the snapshot backing alive on AnalysisSnapshot.
 //
-// Hash indexes are declared eagerly but built lazily on the first
-// LookupEqual that needs them (loading a snapshot declares every persisted
-// index without paying for rebuilds the analysis may never use). Builds are
-// guarded by a mutex and published with an atomic flag, so concurrent
-// read-only lookups from the parallel extraction phase are safe; mutation
-// remains single-threaded, as before.
+// Indexes are declared eagerly and checked lazily: the first LookupEqual
+// against an indexed column checks once whether the column is
+// non-decreasing. Lookups rely on that key order. The importer writes every
+// looked-up column in key order (tests/db/table_test.cc pins this for a
+// loaded snapshot), so on real inputs the column itself is the index and
+// each lookup is a binary search over it, owned or mapped. A column found
+// unordered (only hand-built tables in tests produce one) is scanned. The
+// check result is published through an atomic, so concurrent read-only
+// lookups are safe; mutation remains single-threaded and simply forgets the
+// result.
 #ifndef SRC_DB_TABLE_H_
 #define SRC_DB_TABLE_H_
 
@@ -21,10 +25,8 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/db/value.h"
@@ -56,7 +58,7 @@ class Table {
  public:
   Table(std::string name, std::vector<ColumnDef> columns);
 
-  // Movable (the build mutex is freshly constructed; index pointers move).
+  // Movable; the moved-from table has no rows.
   // Moving a table that another thread is concurrently reading is a data
   // race, same as any other mutation.
   Table(Table&& other) noexcept;
@@ -87,22 +89,17 @@ class Table {
   const uint64_t* ColumnU64Data(size_t column) const;
   const double* ColumnF64Data(size_t column) const;
 
-  // Declares a hash index over a kUint64 column. The index is built lazily
-  // by the first LookupEqual against the column; until then Insert/SetUint64
-  // skip maintenance (the eventual build sees the final rows).
+  // Declares an equality index over a kUint64 column. The first
+  // LookupEqual against the column checks its order; Insert, SetUint64 and
+  // ResetRows forget the result, and the next lookup checks the rows as
+  // they are then.
   void CreateIndex(size_t column);
   bool HasIndex(size_t column) const;
 
-  // All rows whose `column` equals `value`; uses the index when declared
-  // (building it on first use), otherwise scans. Safe to call concurrently
-  // with other const methods.
+  // All rows whose `column` equals `value`, ascending; binary-searches an
+  // indexed column that is in key order, otherwise scans. Safe to call
+  // concurrently with other const methods.
   std::vector<RowId> LookupEqual(size_t column, uint64_t value) const;
-
-  // Forces a declared index to build now. Parallel lookup phases call this
-  // up front (possibly from a different thread than the lookups) so the
-  // one-time build does not serialize their first wave of LookupEqual
-  // calls. No-op for columns without a declared index.
-  void WarmIndex(size_t column) const;
 
   // Calls `fn` for each row id; returning false stops the scan.
   void Scan(const std::function<bool(RowId)>& fn) const;
@@ -116,35 +113,39 @@ class Table {
 
   // Replaces all rows with column-major storage; `storage` must have one
   // entry per column whose populated vector *or view* matches the column
-  // type and has `row_count` elements. Declared indexes are reset to
-  // unbuilt (they rebuild lazily from the new rows).
+  // type and has `row_count` elements. Declared indexes are kept and
+  // re-check the new rows' order on their next lookup.
   void ResetRows(size_t row_count, std::vector<ColumnData> storage);
 
-  // Columns with a declared hash index, ascending — part of a snapshot so a
+  // Columns with a declared index, ascending — part of a snapshot so a
   // loaded table answers LookupEqual exactly like the one that was saved.
   std::vector<size_t> IndexedColumns() const;
 
  private:
-  // One lazily built equality index. `built` is the publication flag:
-  // set with release order after `map` is complete, read with acquire.
-  struct LazyIndex {
-    std::atomic<bool> built{false};
-    std::unordered_map<uint64_t, std::vector<RowId>> map;
+  // What the first lookup on an indexed column found out about its order.
+  enum class IndexState : uint8_t {
+    kUnchecked,
+    kSorted,    // The column is non-decreasing: it is its own index.
+    kUnsorted,  // Lookups scan.
   };
 
   // Copies a view-backed column into owned storage (no-op when owned).
   void MaterializeColumn(size_t column);
-  // Builds `index` from the column's current rows if not built yet.
-  void EnsureIndexBuilt(size_t column, LazyIndex& index) const;
+  // Checks the order of an indexed `column` if not checked yet; returns
+  // the result.
+  IndexState CheckIndexOrder(size_t column) const;
+  // Forgets the order check of `column` (no-op without an index), or of
+  // every column.
+  void ForgetIndexOrder(size_t column);
+  void ForgetIndexOrders();
 
   std::string name_;
   std::vector<ColumnDef> columns_;
   std::vector<ColumnData> storage_;
   size_t row_count_ = 0;
-  // column index -> lazy index. unique_ptr keeps LazyIndex addresses stable
-  // (atomics are not movable).
-  std::unordered_map<size_t, std::unique_ptr<LazyIndex>> indexes_;
-  mutable std::mutex index_build_mu_;
+  // One slot per column, null when the column has no declared index.
+  // unique_ptr keeps the atomics' addresses stable (atomics are not movable).
+  std::vector<std::unique_ptr<std::atomic<IndexState>>> indexes_;
 };
 
 }  // namespace lockdoc

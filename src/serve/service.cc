@@ -124,6 +124,9 @@ void ServeService::PinGuard::Release() {
   if (service_ != nullptr && resident_ != nullptr) {
     std::lock_guard<std::mutex> lock(service_->store_mu_);
     --resident_->pins;
+    // A load that found every other entry pinned left the store over
+    // budget; settle that as soon as a pin drops, not at the next load.
+    service_->EnforceResidencyBudgetLocked();
   }
   service_ = nullptr;
   resident_ = nullptr;
@@ -844,7 +847,7 @@ void ServeService::EnforceResidencyBudgetLocked() {
       }
     }
     if (victim.empty()) {
-      break;  // Everything evictable is pinned; retry on the next request.
+      break;  // Everything evictable is pinned; retried when a pin drops.
     }
     {
       std::lock_guard<std::mutex> lock(state_mu_);

@@ -363,7 +363,7 @@ TEST(SnapshotContainerTest, TableSectionRoundTrip) {
   EXPECT_EQ(restored.GetUint64(2, 0), kDbNull);
   EXPECT_DOUBLE_EQ(restored.GetDouble(1, 1), -2.25);
   EXPECT_EQ(restored.GetString(1, 2), "beta,\"quoted\"");
-  // The hash index came back with the data.
+  // The index came back with the data.
   EXPECT_TRUE(restored.HasIndex(0));
   EXPECT_EQ(restored.LookupEqual(0, 7).size(), 1u);
 }
