@@ -102,8 +102,8 @@ void BM_ImportAndSave(benchmark::State& state) {
 }
 BENCHMARK(BM_ImportAndSave)->Arg(1)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// The v2 zero-copy load: mmap + header-checked scan + column views attached
-// in place. Default options still sweep every payload CRC.
+// The v2 zero-copy load: mmap + CRC-checked scan + column views attached
+// in place.
 void BM_LoadV2Mmap(benchmark::State& state) {
   Fixture& fixture = SharedFixture();
   Prefault(fixture.v2_path);
@@ -116,23 +116,6 @@ void BM_LoadV2Mmap(benchmark::State& state) {
                           static_cast<int64_t>(fixture.v2_bytes));
 }
 BENCHMARK(BM_LoadV2Mmap)->Unit(benchmark::kMillisecond);
-
-// Same load with payload CRCs deferred (trusted file): the pure zero-copy
-// attach cost.
-void BM_LoadV2MmapNoCrc(benchmark::State& state) {
-  Fixture& fixture = SharedFixture();
-  SnapshotLoadOptions trusting;
-  trusting.verify_payload_crcs = false;
-  Prefault(fixture.v2_path);
-  for (auto _ : state) {
-    auto snapshot = LoadSnapshot(fixture.v2_path, *fixture.sim.registry, trusting);
-    LOCKDOC_CHECK(snapshot.ok());
-    benchmark::DoNotOptimize(snapshot);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(fixture.v2_bytes));
-}
-BENCHMARK(BM_LoadV2MmapNoCrc)->Unit(benchmark::kMillisecond);
 
 // The legacy v1 load: every varint decoded into owned storage.
 void BM_LoadV1Deserialize(benchmark::State& state) {

@@ -72,7 +72,6 @@ merged = {
     # host-independent; the import jobs sweep is bounded by num_cpus above
     # (on one core it measures scheduling overhead, not scaling).
     "v2_mmap_vs_v1_deserialize": ratio("BM_LoadV1Deserialize", "BM_LoadV2Mmap"),
-    "v2_mmap_nocrc_vs_v1_deserialize": ratio("BM_LoadV1Deserialize", "BM_LoadV2MmapNoCrc"),
     "v2_mmap_vs_rebuild": ratio("BM_RebuildFromTrace", "BM_LoadV2Mmap"),
     "import_jobs8_vs_jobs1": ratio("BM_ImportAndSave/1", "BM_ImportAndSave/8"),
 }

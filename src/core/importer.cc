@@ -23,6 +23,41 @@ struct HeldLockState {
   uint64_t range_end = 0;
 };
 
+// A table under construction: one u64 vector per column, appended row by
+// row during the replay and handed to its Table in one ResetRows. Every
+// fact table the replay fills is all-u64.
+class ColumnBuilder {
+ public:
+  explicit ColumnBuilder(size_t columns) : columns_(columns) {}
+
+  template <typename... Values>
+  void Append(Values... values) {
+    LOCKDOC_CHECK(sizeof...(values) == columns_.size());
+    size_t column = 0;
+    (columns_[column++].push_back(static_cast<uint64_t>(values)), ...);
+  }
+  void Reserve(size_t rows) {
+    for (std::vector<uint64_t>& column : columns_) {
+      column.reserve(rows);
+    }
+  }
+  size_t rows() const { return columns_[0].size(); }
+  std::vector<uint64_t>& column(size_t index) { return columns_[index]; }
+
+  void MoveInto(Table* table) {
+    LOCKDOC_CHECK(table->column_count() == columns_.size());
+    const size_t row_count = rows();
+    std::vector<ColumnData> storage(columns_.size());
+    for (size_t i = 0; i < columns_.size(); ++i) {
+      storage[i].u64 = std::move(columns_[i]);
+    }
+    table->ResetRows(row_count, std::move(storage));
+  }
+
+ private:
+  std::vector<std::vector<uint64_t>> columns_;
+};
+
 // A memory access after the sequential replay attributed it: which
 // allocation contained the address at that moment, and which transaction
 // was current. Member resolution and filter classification are pure
@@ -58,8 +93,6 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
   if (any_range) {
     CreateRangeTables(db);
   }
-  Table* alloc_ranges = any_range ? &db->table(LockDocSchema::kAllocRanges) : nullptr;
-  Table* txn_lock_ranges = any_range ? &db->table(LockDocSchema::kTxnLockRanges) : nullptr;
 
   // The database owns a copy of the trace's strings (ids preserved), so
   // every *_sid column stays resolvable after the trace is gone.
@@ -141,14 +174,19 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
   };
 
   // --- Replay state. ---
+  // Every all-numeric fact table is built as local columns and handed to
+  // its Table in one ResetRows at the end, the way `accesses` is.
   AllocationTracker tracker;
   LockResolver resolver(registry_, &tracker);
-  Table& allocations = db->table(LockDocSchema::kAllocations);
-  Table& locks = db->table(LockDocSchema::kLocks);
-  Table& txns = db->table(LockDocSchema::kTxns);
-  Table& txn_locks = db->table(LockDocSchema::kTxnLocks);
-  Table& accesses = db->table(LockDocSchema::kAccesses);
-  const size_t kAllocFreeSeqCol = allocations.ColumnIndex("free_seq");
+  ColumnBuilder alloc_ranges(3);     // alloc_id, range_start, range_end
+  ColumnBuilder txns(4);             // id, start_seq, end_seq, n_locks
+  ColumnBuilder txn_locks(7);        // txn_id, position, lock_id, acquire_seq,
+                                     // mode, file_sid, line
+  ColumnBuilder txn_lock_ranges(4);  // txn_id, position, range_start, range_end
+  std::vector<uint64_t>& txn_end_seq = txns.column(2);
+  // The locks table mirrors the resolver's instances as of the last
+  // acquire; instances first seen at a later release stay out of it.
+  uint64_t locks_row_count = 0;
 
   // Transaction reconstruction (Sec. 4.2): acquiring a lock starts a nested
   // transaction; releasing it resumes the *enclosing* transaction — the same
@@ -161,23 +199,18 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
   std::vector<TxnFrame> txn_stack;
   uint64_t base_txn = kDbNull;  // Current lock-free transaction.
   uint64_t current_txn = kDbNull;
-  uint64_t locks_row_count = 0;
-  const size_t kTxnEndSeqCol = txns.ColumnIndex("end_seq");
 
   // Creates a transaction row for the current stack contents (or the empty
   // set) starting at `seq`.
   auto new_txn = [&](uint64_t seq) {
-    uint64_t id = txns.row_count();
-    txns.Insert({id, seq, kDbNull, static_cast<uint64_t>(txn_stack.size())});
+    uint64_t id = txns.rows();
+    txns.Append(id, seq, kDbNull, txn_stack.size());
     for (size_t i = 0; i < txn_stack.size(); ++i) {
-      txn_locks.Insert({id, static_cast<uint64_t>(i), txn_stack[i].lock.lock,
-                        txn_stack[i].lock.acquire_seq,
-                        static_cast<uint64_t>(txn_stack[i].lock.mode),
-                        static_cast<uint64_t>(txn_stack[i].lock.acquire_file),
-                        static_cast<uint64_t>(txn_stack[i].lock.acquire_line)});
-      if (txn_stack[i].lock.has_range) {
-        txn_lock_ranges->Insert({id, static_cast<uint64_t>(i), txn_stack[i].lock.range_start,
-                                 txn_stack[i].lock.range_end});
+      const HeldLockState& held = txn_stack[i].lock;
+      txn_locks.Append(id, i, held.lock, held.acquire_seq, static_cast<uint64_t>(held.mode),
+                       held.acquire_file, held.acquire_line);
+      if (held.has_range) {
+        txn_lock_ranges.Append(id, i, held.range_start, held.range_end);
       }
     }
     ++stats.txns;
@@ -189,10 +222,10 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
   auto end_txn = [&](uint64_t id, uint64_t seq) {
     if (id != kDbNull) {
       // Every transaction is closed exactly once; a second close would
-      // corrupt the end_seq the open-group eviction in ExtractObservations
-      // relies on.
-      LOCKDOC_CHECK(txns.GetUint64(id, kTxnEndSeqCol) == kDbNull);
-      txns.SetUint64(id, kTxnEndSeqCol, seq);
+      // corrupt the span that ExtractObservations relies on (a
+      // transaction's accesses all lie inside it).
+      LOCKDOC_CHECK(txn_end_seq[id] == kDbNull);
+      txn_end_seq[id] = seq;
     }
   };
 
@@ -202,11 +235,18 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
 
   std::vector<StagedAccess> staged;
   staged.reserve(trace.size());
+  // Consecutive accesses mostly hit one object: the last allocation found
+  // answers every address of [hit_begin, hit_end) until an alloc or free
+  // event changes the live set.
+  AllocationId hit_alloc = kDbNull;
+  Address hit_begin = 0;
+  Address hit_end = 0;
   const std::vector<TraceEvent>& events = trace.events();
   for (size_t event_index = 0; event_index < events.size(); ++event_index) {
     const TraceEvent& e = events[event_index];
     switch (e.kind) {
       case EventKind::kAlloc: {
+        hit_end = 0;
         if (e.type == kInvalidTypeId || e.type >= registry_->type_count()) {
           // Only reachable with damaged traces: without a layout the
           // allocation cannot be interpreted, so it stays untracked and
@@ -214,50 +254,33 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
           ++stats.unknown_type_allocs;
           break;
         }
+        // The tracker keeps each allocation's lifetime record, which
+        // becomes its allocations row once the replay ends. A displaced
+        // allocation (its free event was lost in a salvaged trace) is
+        // retired here, at the new allocation's seq.
         std::optional<AllocationId> displaced;
         AllocationId id = tracker.OnAlloc(e, &displaced);
-        LOCKDOC_CHECK(id == allocations.row_count());
         if (displaced.has_value()) {
-          // The free event for the previous lifetime was lost (salvaged
-          // trace): retire its row here, where the tracker retired it.
-          allocations.SetUint64(*displaced, kAllocFreeSeqCol, e.seq);
           ++stats.realloc_overlaps;
         }
-        allocations.Insert({id, static_cast<uint64_t>(e.type), static_cast<uint64_t>(e.subclass),
-                            e.addr, static_cast<uint64_t>(e.size), e.seq, kDbNull});
         if (e.has_range) {
           // The object's ground-truth resource span (e.g. a vma's
           // [vm_start, vm_end)); overlap analysis matches held ranges
           // against it.
-          alloc_ranges->Insert({id, e.range_start, e.range_end});
+          alloc_ranges.Append(id, e.range_start, e.range_end);
         }
         break;
       }
-      case EventKind::kFree: {
-        auto freed = tracker.OnFree(e);
-        if (freed.has_value()) {
-          allocations.SetUint64(*freed, kAllocFreeSeqCol, e.seq);
-        }
+      case EventKind::kFree:
+        hit_end = 0;
+        tracker.OnFree(e);
         break;
-      }
       case EventKind::kStaticLockDef:
         resolver.OnStaticLockDef(e);
         break;
       case EventKind::kLockAcquire: {
         LockInstanceId lock = resolver.Resolve(e);
-        // Mirror new lock instances into the locks table as they appear.
-        while (locks_row_count < resolver.instance_count()) {
-          const LockInstance& inst = resolver.instance(locks_row_count);
-          uint64_t owner_member_row = kDbNull;
-          if (!inst.is_static) {
-            owner_member_row = member_row[inst.owner_type][inst.owner_member];
-          }
-          locks.Insert({inst.id, inst.addr, static_cast<uint64_t>(inst.type),
-                        static_cast<uint64_t>(inst.is_static ? 1 : 0),
-                        static_cast<uint64_t>(inst.name),
-                        inst.is_static ? kDbNull : inst.owner, owner_member_row});
-          ++locks_row_count;
-        }
+        locks_row_count = resolver.instance_count();
         if (txn_stack.empty()) {
           // Leaving a lock-free span.
           end_txn(base_txn, e.seq);
@@ -338,9 +361,13 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
         // allocation was live at its address and which transaction was
         // current; record them and defer the rest to the parallel phase.
         ++stats.accesses_total;
-        std::optional<AllocationId> found = tracker.Find(e.addr);
-        staged.push_back({static_cast<uint32_t>(event_index),
-                          found.has_value() ? *found : kDbNull, current_txn});
+        if (e.addr < hit_begin || e.addr >= hit_end) {
+          std::optional<AllocationId> found = tracker.Find(e.addr, &hit_end);
+          hit_alloc = found.value_or(kDbNull);
+          hit_begin = found.has_value() ? tracker.info(*found).addr : 0;
+          hit_end = found.has_value() ? hit_end : 0;
+        }
+        staged.push_back({static_cast<uint32_t>(event_index), hit_alloc, current_txn});
         break;
       }
     }
@@ -356,10 +383,15 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
       classify_stack(stack);
     }
     const size_t n = staged.size();
+    Table& accesses = db->table(LockDocSchema::kAccesses);
     std::vector<ColumnData> storage(accesses.column_count());
-    for (ColumnData& column : storage) {
-      column.u64.resize(n);
-    }
+    // Sizing a column faults in its pages; the lanes share that work, one
+    // column each.
+    auto size_columns = [&](size_t begin, size_t end) {
+      for (size_t column = begin; column < end; ++column) {
+        storage[column].u64.resize(n);
+      }
+    };
     enum AccessColumn {
       kColSeq, kColAlloc, kColMember, kColType, kColSize, kColTxn,
       kColContext, kColTask, kColFile, kColLine, kColStack, kColReason,
@@ -416,8 +448,10 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
       kept_per_chunk.push_back(kept);
     };
     if (pool != nullptr) {
+      pool->ParallelFor(storage.size(), size_columns);
       pool->ParallelFor(n, fill);
     } else {
+      size_columns(0, storage.size());
       fill(0, n);
     }
     for (uint64_t kept : kept_per_chunk) {
@@ -437,18 +471,41 @@ ImportStats TraceImporter::Import(const Trace& trace, Database* db, ThreadPool* 
   }
   txn_stack.clear();
   end_txn(base_txn, trace.size());
-  for (RowId txn = 0; txn < txns.row_count(); ++txn) {
-    LOCKDOC_CHECK(txns.GetUint64(txn, kTxnEndSeqCol) != kDbNull);
+  for (uint64_t end_seq : txn_end_seq) {
+    LOCKDOC_CHECK(end_seq != kDbNull);
   }
 
-  // --- Stack frames table. ---
-  Table& stack_frames = db->table(LockDocSchema::kStackFrames);
+  // --- Tables known only once the replay has ended. ---
+  ColumnBuilder allocations(7);  // id, type_id, subclass, addr, size, alloc_seq, free_seq
+  allocations.Reserve(tracker.allocation_count());
+  for (const AllocationInfo& info : tracker.allocations()) {
+    allocations.Append(info.id, info.type, info.subclass, info.addr, info.size, info.alloc_seq,
+                       info.free_seq);
+  }
+  ColumnBuilder locks(7);  // id, addr, lock_type, is_static, name_sid, owner_alloc_id,
+                           // owner_member_id
+  locks.Reserve(locks_row_count);
+  for (uint64_t row = 0; row < locks_row_count; ++row) {
+    const LockInstance& inst = resolver.instance(row);
+    locks.Append(inst.id, inst.addr, static_cast<uint64_t>(inst.type), inst.is_static ? 1 : 0,
+                 inst.name, inst.is_static ? kDbNull : inst.owner,
+                 inst.is_static ? kDbNull : member_row[inst.owner_type][inst.owner_member]);
+  }
+  ColumnBuilder stack_frames(3);  // stack_id, position, function_sid
   for (StackId id = 0; id < trace.stack_count(); ++id) {
     const CallStack& stack = trace.Stack(id);
     for (size_t pos = 0; pos < stack.frames.size(); ++pos) {
-      stack_frames.Insert({static_cast<uint64_t>(id), static_cast<uint64_t>(pos),
-                           static_cast<uint64_t>(stack.frames[pos])});
+      stack_frames.Append(id, pos, stack.frames[pos]);
     }
+  }
+  allocations.MoveInto(&db->table(LockDocSchema::kAllocations));
+  locks.MoveInto(&db->table(LockDocSchema::kLocks));
+  txns.MoveInto(&db->table(LockDocSchema::kTxns));
+  txn_locks.MoveInto(&db->table(LockDocSchema::kTxnLocks));
+  stack_frames.MoveInto(&db->table(LockDocSchema::kStackFrames));
+  if (any_range) {
+    alloc_ranges.MoveInto(&db->table(LockDocSchema::kAllocRanges));
+    txn_lock_ranges.MoveInto(&db->table(LockDocSchema::kTxnLockRanges));
   }
 
   stats.lock_instances = resolver.instance_count();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 
@@ -211,24 +210,18 @@ std::vector<uint32_t> LockPostingIndex::ComplyingSeqs(const ObservationStore& st
 
 namespace {
 
-// Open-group key: one folded observation per (txn, alloc, member_row).
-struct GroupKey {
-  uint64_t txn = 0;
+constexpr uint32_t kNoEntry = UINT32_MAX;
+
+// A group the fold has opened: one node of its transaction's list. Groups
+// of a transaction are found by walking that list, newest first.
+struct OpenGroup {
   uint64_t alloc = 0;
-  uint64_t member_row = 0;
-
-  friend auto operator<=>(const GroupKey&, const GroupKey&) = default;
-};
-
-struct GroupKeyHash {
-  size_t operator()(const GroupKey& key) const {
-    // splitmix64-style mixing of the three fields.
-    uint64_t h = key.txn;
-    for (uint64_t v : {key.alloc, key.member_row}) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<size_t>(h);
-  }
+  uint32_t member_row = 0;
+  uint32_t slot = 0;  // Member-key slot the group belongs to.
+  uint32_t task = 0;  // Its (txn, alloc) classification task.
+  uint32_t next = kNoEntry;
+  uint32_t n_reads = 0;
+  uint32_t n_writes = 0;
 };
 
 // A distinct (txn, alloc) pair whose held-lock classes need classifying.
@@ -237,35 +230,156 @@ struct ClassTask {
   uint64_t alloc = 0;
 };
 
+// A member row's slots: one per (allocation type, subclass) seen with it.
+struct SlotRef {
+  TypeId type = kInvalidTypeId;
+  SubclassId subclass = kNoSubclass;
+  uint32_t slot = 0;
+};
+
+struct ClassIdSeqHash {
+  size_t operator()(const std::vector<uint32_t>& ids) const {
+    uint64_t h = ids.size();
+    for (uint32_t id : ids) {
+      h ^= id + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<size_t>(h);
+  }
+};
+
 }  // namespace
 
 ObservationStore ExtractObservations(const Database& db, const TypeRegistry& registry,
                                      ThreadPool* pool) {
-  ObservationStore store;
-
   const Table& accesses = db.table(LockDocSchema::kAccesses);
   const Table& allocations = db.table(LockDocSchema::kAllocations);
   const Table& members = db.table(LockDocSchema::kMembers);
   const Table& txns = db.table(LockDocSchema::kTxns);
   const Table& txn_locks = db.table(LockDocSchema::kTxnLocks);
+  const Table& locks = db.table(LockDocSchema::kLocks);
+  const size_t n_allocs = allocations.row_count();
+  const size_t n_members = members.row_count();
+  const size_t n_txns = txns.row_count();
+  const size_t n_locks = locks.row_count();
 
-  const size_t kAccSeq = accesses.ColumnIndex("seq");
-  const size_t kAccAlloc = accesses.ColumnIndex("alloc_id");
-  const size_t kAccMember = accesses.ColumnIndex("member_id");
-  const size_t kAccType = accesses.ColumnIndex("access_type");
-  const size_t kAccTxn = accesses.ColumnIndex("txn_id");
-  const size_t kAccFilter = accesses.ColumnIndex("filter_reason");
+  // Raw column pointers keep the per-row cost at array reads. Every id read
+  // from a column is bounds-checked before it indexes an array.
+  const uint64_t* acc_filter = accesses.ColumnU64Data(accesses.ColumnIndex("filter_reason"));
+  const uint64_t* acc_seq = accesses.ColumnU64Data(accesses.ColumnIndex("seq"));
+  const uint64_t* acc_txn = accesses.ColumnU64Data(accesses.ColumnIndex("txn_id"));
+  const uint64_t* acc_alloc = accesses.ColumnU64Data(accesses.ColumnIndex("alloc_id"));
+  const uint64_t* acc_member = accesses.ColumnU64Data(accesses.ColumnIndex("member_id"));
+  const uint64_t* acc_type = accesses.ColumnU64Data(accesses.ColumnIndex("access_type"));
+  const uint64_t* alloc_type = allocations.ColumnU64Data(allocations.ColumnIndex("type_id"));
+  const uint64_t* alloc_subclass =
+      allocations.ColumnU64Data(allocations.ColumnIndex("subclass"));
+  const uint64_t* member_idx = members.ColumnU64Data(members.ColumnIndex("member_idx"));
 
-  const size_t kAllocType = allocations.ColumnIndex("type_id");
-  const size_t kAllocSubclass = allocations.ColumnIndex("subclass");
+  // --- Fold: kept accesses into groups, in trace order. ---
+  //
+  // A group is one (txn, alloc, member_row). Accesses arrive in seq order
+  // and a transaction never becomes current again once it has ended, so a
+  // group only ever gathers accesses of its own transaction's span; the
+  // open groups therefore live in per-transaction lists indexed by the
+  // (dense) txn id. A new group of a (txn, alloc) pair not seen before
+  // opens a classification task; tasks are numbered in group
+  // first-appearance order, the order sequences get interned in below.
+  // The fold only counts; the groups are built once their sizes are known.
+  LOCKDOC_CHECK(n_members < kNoEntry);
+  std::vector<uint32_t> txn_head(n_txns, kNoEntry);
+  std::vector<OpenGroup> open;
+  std::vector<ClassTask> tasks;
+  std::vector<uint32_t> access_group;  // Per kept access, in row order.
 
-  const size_t kMemberIdx = members.ColumnIndex("member_idx");
+  // Member keys resolve through a dense table indexed by member row; the
+  // key map is consulted only when a slot is first seen.
+  std::vector<std::vector<SlotRef>> member_slots(n_members);
+  std::map<MemberObsKey, uint32_t> key_slot;
+  std::vector<MemberObsKey> slot_key;
+  auto slot_of = [&](uint64_t alloc, uint64_t member_row) -> uint32_t {
+    const TypeId type = static_cast<TypeId>(alloc_type[alloc]);
+    const SubclassId subclass = static_cast<SubclassId>(alloc_subclass[alloc]);
+    for (const SlotRef& ref : member_slots[member_row]) {
+      if (ref.type == type && ref.subclass == subclass) {
+        return ref.slot;
+      }
+    }
+    MemberObsKey key;
+    key.type = type;
+    key.subclass = subclass;
+    key.member = static_cast<MemberIndex>(member_idx[member_row]);
+    auto [it, inserted] = key_slot.try_emplace(key, static_cast<uint32_t>(slot_key.size()));
+    if (inserted) {
+      slot_key.push_back(key);
+    }
+    member_slots[member_row].push_back({type, subclass, it->second});
+    return it->second;
+  };
 
-  const size_t kTxnEndSeq = txns.ColumnIndex("end_seq");
+  for (RowId row = 0; row < accesses.row_count(); ++row) {
+    if (acc_filter[row] != static_cast<uint64_t>(FilterReason::kNone)) {
+      continue;
+    }
+    const uint64_t txn = acc_txn[row];
+    const uint64_t alloc = acc_alloc[row];
+    const uint64_t member_row = acc_member[row];
+    LOCKDOC_CHECK(txn < n_txns && alloc < n_allocs && member_row < n_members);
 
-  const size_t kTlTxn = txn_locks.ColumnIndex("txn_id");
-  const size_t kTlPos = txn_locks.ColumnIndex("position");
-  const size_t kTlLock = txn_locks.ColumnIndex("lock_id");
+    uint32_t found = kNoEntry;
+    uint32_t task = kNoEntry;
+    for (uint32_t g = txn_head[txn]; g != kNoEntry; g = open[g].next) {
+      if (open[g].alloc != alloc) {
+        continue;
+      }
+      task = open[g].task;  // Every group of one (txn, alloc) shares its task.
+      if (open[g].member_row == member_row) {
+        found = g;
+        break;
+      }
+    }
+    if (found == kNoEntry) {
+      if (task == kNoEntry) {
+        task = static_cast<uint32_t>(tasks.size());
+        tasks.push_back({txn, alloc});
+      }
+      LOCKDOC_CHECK(open.size() < kNoEntry);
+      found = static_cast<uint32_t>(open.size());
+      OpenGroup& group = open.emplace_back();
+      group.alloc = alloc;
+      group.member_row = static_cast<uint32_t>(member_row);
+      group.slot = slot_of(alloc, member_row);
+      group.task = task;
+      group.next = txn_head[txn];
+      txn_head[txn] = found;
+    }
+    if (acc_type[row] == static_cast<uint64_t>(AccessType::kWrite)) {
+      ++open[found].n_writes;
+    } else {
+      ++open[found].n_reads;
+    }
+    access_group.push_back(found);
+  }
+
+  // --- Each transaction's held locks, by position (CSR over txn ids). ---
+  const uint64_t* tl_txn = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("txn_id"));
+  const uint64_t* tl_pos = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("position"));
+  const uint64_t* tl_lock = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("lock_id"));
+  std::vector<size_t> held_begin(n_txns + 1, 0);
+  for (RowId row = 0; row < txn_locks.row_count(); ++row) {
+    LOCKDOC_CHECK(tl_txn[row] < n_txns);
+    ++held_begin[tl_txn[row] + 1];
+  }
+  for (size_t txn = 0; txn < n_txns; ++txn) {
+    held_begin[txn + 1] += held_begin[txn];
+  }
+  auto held_slot = [&](uint64_t txn, uint64_t pos) {
+    LOCKDOC_CHECK(txn < n_txns && pos < held_begin[txn + 1] - held_begin[txn]);
+    return held_begin[txn] + pos;
+  };
+  std::vector<uint64_t> held_lock(txn_locks.row_count(), 0);
+  for (RowId row = 0; row < txn_locks.row_count(); ++row) {
+    held_lock[held_slot(tl_txn[row], tl_pos[row])] = tl_lock[row];
+  }
 
   // Range-lock support (optional tables, present only for ranged traces).
   // A held range lock covers an access only when its span overlaps the
@@ -277,189 +391,179 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
   // pre-range path.
   const bool has_ranges =
       db.HasTable(LockDocSchema::kAllocRanges) && db.HasTable(LockDocSchema::kTxnLockRanges);
-  std::unordered_map<uint64_t, std::pair<uint64_t, uint64_t>> alloc_span;
-  const Table* txn_lock_ranges = nullptr;
-  size_t kTlrTxn = 0, kTlrPos = 0, kTlrStart = 0, kTlrEnd = 0;
+  struct Span {
+    bool present = false;
+    uint64_t start = 0;
+    uint64_t end = 0;
+  };
+  std::vector<Span> alloc_span;  // By alloc id.
+  std::vector<Span> held_range;  // By held slot.
   if (has_ranges) {
     const Table& alloc_ranges = db.table(LockDocSchema::kAllocRanges);
     const size_t kArAlloc = alloc_ranges.ColumnIndex("alloc_id");
     const size_t kArStart = alloc_ranges.ColumnIndex("range_start");
     const size_t kArEnd = alloc_ranges.ColumnIndex("range_end");
+    alloc_span.resize(n_allocs);
     for (RowId row = 0; row < alloc_ranges.row_count(); ++row) {
-      alloc_span[alloc_ranges.GetUint64(row, kArAlloc)] = {
-          alloc_ranges.GetUint64(row, kArStart), alloc_ranges.GetUint64(row, kArEnd)};
+      const uint64_t alloc = alloc_ranges.GetUint64(row, kArAlloc);
+      LOCKDOC_CHECK(alloc < n_allocs);
+      alloc_span[alloc] = {true, alloc_ranges.GetUint64(row, kArStart),
+                           alloc_ranges.GetUint64(row, kArEnd)};
     }
-    txn_lock_ranges = &db.table(LockDocSchema::kTxnLockRanges);
-    kTlrTxn = txn_lock_ranges->ColumnIndex("txn_id");
-    kTlrPos = txn_lock_ranges->ColumnIndex("position");
-    kTlrStart = txn_lock_ranges->ColumnIndex("range_start");
-    kTlrEnd = txn_lock_ranges->ColumnIndex("range_end");
+    const Table& txn_lock_ranges = db.table(LockDocSchema::kTxnLockRanges);
+    const size_t kTlrTxn = txn_lock_ranges.ColumnIndex("txn_id");
+    const size_t kTlrPos = txn_lock_ranges.ColumnIndex("position");
+    const size_t kTlrStart = txn_lock_ranges.ColumnIndex("range_start");
+    const size_t kTlrEnd = txn_lock_ranges.ColumnIndex("range_end");
+    held_range.resize(held_lock.size());
+    for (RowId row = 0; row < txn_lock_ranges.row_count(); ++row) {
+      held_range[held_slot(txn_lock_ranges.GetUint64(row, kTlrTxn),
+                           txn_lock_ranges.GetUint64(row, kTlrPos))] = {
+          true, txn_lock_ranges.GetUint64(row, kTlrStart),
+          txn_lock_ranges.GetUint64(row, kTlrEnd)};
+    }
   }
 
-  // --- Pass 1 (serial): fold accesses into groups in trace order. ---
-  //
-  // Classification of held locks is deferred: a newly created group records
-  // the index of its (txn, alloc) classification task in `lockseq_id`; the
-  // real interned ids are patched in after pass 3. Task order is group
-  // first-appearance order — exactly the order the serial implementation
-  // interned sequences in, which keeps interned ids byte-identical.
-  std::vector<ClassTask> tasks;
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint32_t>> task_index;  // txn -> alloc -> task
-
-  // Open groups only. Accesses arrive in seq order and a transaction id is
-  // never reused after its end_seq, so a group whose txn has ended can be
-  // evicted: it will never receive another access. The expiry heap releases
-  // groups as the scan passes their transaction's end, keeping the map
-  // proportional to *live* transactions instead of the whole trace.
-  std::unordered_map<GroupKey, std::pair<MemberObsKey, size_t>, GroupKeyHash> open_groups;
-  using Expiry = std::pair<uint64_t, GroupKey>;  // (txn end_seq, group)
-  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>> expiry;
-
-  // The fold touches six access columns per row; raw column pointers keep
-  // the per-row cost at array reads (columns built by the importer are
-  // always owned and contiguous).
-  const uint64_t* acc_filter = accesses.ColumnU64Data(kAccFilter);
-  const uint64_t* acc_seq = accesses.ColumnU64Data(kAccSeq);
-  const uint64_t* acc_txn = accesses.ColumnU64Data(kAccTxn);
-  const uint64_t* acc_alloc = accesses.ColumnU64Data(kAccAlloc);
-  const uint64_t* acc_member = accesses.ColumnU64Data(kAccMember);
-  const uint64_t* acc_type = accesses.ColumnU64Data(kAccType);
-  const uint64_t* alloc_type = allocations.ColumnU64Data(kAllocType);
-  const uint64_t* alloc_subclass = allocations.ColumnU64Data(kAllocSubclass);
-  const uint64_t* member_idx = members.ColumnU64Data(kMemberIdx);
-  const uint64_t* txn_end_seq = txns.ColumnU64Data(kTxnEndSeq);
-
-  for (RowId row = 0; row < accesses.row_count(); ++row) {
-    if (acc_filter[row] != static_cast<uint64_t>(FilterReason::kNone)) {
-      continue;
+  // --- Lock classes as local ids. ---
+  // ClassifyLockRow gives a locks row its Global class, or its Same class
+  // (seen from its owner) and its Other class (seen from anywhere else).
+  // Embedded locks get both through their lock member, so each member is
+  // classified once; a class gets its local id on first sight.
+  const uint64_t* lock_is_static = locks.ColumnU64Data(locks.ColumnIndex("is_static"));
+  const uint64_t* lock_owner_alloc = locks.ColumnU64Data(locks.ColumnIndex("owner_alloc_id"));
+  const uint64_t* lock_owner_member =
+      locks.ColumnU64Data(locks.ColumnIndex("owner_member_id"));
+  std::vector<LockClass> classes;
+  std::map<LockClass, uint32_t> class_ids;
+  auto class_id = [&](LockClass cls) {
+    auto [it, inserted] = class_ids.try_emplace(cls, static_cast<uint32_t>(classes.size()));
+    if (inserted) {
+      classes.push_back(std::move(cls));
     }
-    uint64_t seq = acc_seq[row];
-    uint64_t txn = acc_txn[row];
-    uint64_t alloc = acc_alloc[row];
-    uint64_t member_row = acc_member[row];
-    LOCKDOC_CHECK(alloc != kDbNull && member_row != kDbNull && txn != kDbNull);
-
-    while (!expiry.empty() && expiry.top().first <= seq) {
-      open_groups.erase(expiry.top().second);
-      task_index.erase(expiry.top().second.txn);  // Its txn id is never reused.
-      expiry.pop();
-    }
-
-    GroupKey group_key{txn, alloc, member_row};
-    auto it = open_groups.find(group_key);
-    if (it == open_groups.end()) {
-      // Resolve the member population key.
-      MemberObsKey key;
-      key.type = static_cast<TypeId>(alloc_type[alloc]);
-      key.subclass = static_cast<SubclassId>(alloc_subclass[alloc]);
-      key.member = static_cast<MemberIndex>(member_idx[member_row]);
-
-      auto& by_alloc = task_index[txn];
-      auto task_it = by_alloc.find(alloc);
-      if (task_it == by_alloc.end()) {
-        task_it = by_alloc.emplace(alloc, static_cast<uint32_t>(tasks.size())).first;
-        tasks.push_back({txn, alloc});
-      }
-
-      std::vector<ObservationGroup>& groups = store.MutableGroups(key);
-      ObservationGroup group;
-      group.lockseq_id = task_it->second;  // Task index; patched after pass 3.
-      group.txn_id = txn;
-      group.alloc_id = alloc;
-      groups.push_back(std::move(group));
-      it = open_groups.emplace(group_key, std::make_pair(key, groups.size() - 1)).first;
-
-      // An access inside a transaction precedes its end, so end_seq > seq
-      // here and the group stays open at least until the txn ends. A null
-      // end_seq (possible only outside the importer) never expires.
-      uint64_t end_seq = txn_end_seq[txn];
-      if (end_seq != kDbNull) {
-        expiry.emplace(end_seq, group_key);
-      }
-    }
-
-    ObservationGroup& group = store.MutableGroups(it->second.first)[it->second.second];
-    if (acc_type[row] == static_cast<uint64_t>(AccessType::kWrite)) {
-      ++group.n_writes;
-    } else {
-      ++group.n_reads;
-    }
-    group.seqs.push_back(seq);
-  }
-
-  // --- Pass 2 (parallel): classify each distinct (txn, alloc) pair. ---
-  // Tasks only read the database and registry (all const, no lazy state)
-  // and write their own slot. Consecutive tasks usually share a
-  // transaction, so each chunk keeps a local cache of its lock rows.
-  std::vector<LockSeq> classified(tasks.size());
-  struct HeldPosition {
-    uint64_t lock_row = 0;
-    bool has_range = false;
-    uint64_t range_start = 0;
-    uint64_t range_end = 0;
+    return it->second;
   };
-  auto classify_range = [&](size_t begin, size_t end) {
-    uint64_t cached_txn = kDbNull;
-    std::vector<HeldPosition> cached_positions;
-    for (size_t i = begin; i < end; ++i) {
-      const ClassTask& task = tasks[i];
-      if (task.txn != cached_txn) {
-        cached_txn = task.txn;
-        cached_positions.clear();
-        std::vector<RowId> rows = txn_locks.LookupEqual(kTlTxn, task.txn);
-        cached_positions.resize(rows.size());
-        for (RowId tl_row : rows) {
-          uint64_t pos = txn_locks.GetUint64(tl_row, kTlPos);
-          LOCKDOC_CHECK(pos < cached_positions.size());
-          cached_positions[pos].lock_row = txn_locks.GetUint64(tl_row, kTlLock);
+  struct RowClasses {
+    uint32_t same = kNoEntry;
+    uint32_t other = kNoEntry;
+  };
+  std::vector<RowClasses> lock_classes(n_locks);
+  std::vector<RowClasses> member_classes(n_members);
+  auto class_of = [&](uint64_t lock_row, uint64_t alloc) {
+    LOCKDOC_CHECK(lock_row < n_locks);
+    RowClasses& row = lock_classes[lock_row];
+    if (row.same == kNoEntry) {
+      if (lock_is_static[lock_row] != 0) {
+        row.same = row.other = class_id(ClassifyLockRow(db, registry, lock_row, std::nullopt));
+      } else {
+        const uint64_t member_row = lock_owner_member[lock_row];
+        LOCKDOC_CHECK(member_row < n_members);
+        RowClasses& member = member_classes[member_row];
+        if (member.same == kNoEntry) {
+          member.same =
+              class_id(ClassifyLockRow(db, registry, lock_row, lock_owner_alloc[lock_row]));
+          member.other = class_id(ClassifyLockRow(db, registry, lock_row, std::nullopt));
         }
-        if (txn_lock_ranges != nullptr) {
-          for (RowId tlr_row : txn_lock_ranges->LookupEqual(kTlrTxn, task.txn)) {
-            uint64_t pos = txn_lock_ranges->GetUint64(tlr_row, kTlrPos);
-            LOCKDOC_CHECK(pos < cached_positions.size());
-            cached_positions[pos].has_range = true;
-            cached_positions[pos].range_start = txn_lock_ranges->GetUint64(tlr_row, kTlrStart);
-            cached_positions[pos].range_end = txn_lock_ranges->GetUint64(tlr_row, kTlrEnd);
-          }
-        }
+        row = member;
       }
-      // The accessed allocation's ground-truth span, if it has one.
-      const std::pair<uint64_t, uint64_t>* span = nullptr;
-      if (has_ranges) {
-        auto span_it = alloc_span.find(task.alloc);
-        if (span_it != alloc_span.end()) {
-          span = &span_it->second;
-        }
+    }
+    return lock_owner_alloc[lock_row] == alloc ? row.same : row.other;
+  };
+
+  // --- Held class sequences per task, deduplicated in task order. ---
+  // Interning only the distinct sequences, in the order tasks first show
+  // them, gives every pool id and sequence id the value interning each
+  // task's sequence in task order would.
+  ObservationStore store;
+  std::vector<uint32_t> task_seq_id(tasks.size());
+  std::unordered_map<std::vector<uint32_t>, uint32_t, ClassIdSeqHash> seq_ids;
+  std::vector<uint32_t> held;
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    const ClassTask& task = tasks[t];
+    const Span* span = has_ranges && alloc_span[task.alloc].present ? &alloc_span[task.alloc]
+                                                                      : nullptr;
+    held.clear();
+    for (size_t slot = held_begin[task.txn]; slot < held_begin[task.txn + 1]; ++slot) {
+      if (span != nullptr && held_range[slot].present &&
+          !RangesOverlap(held_range[slot].start, held_range[slot].end, span->start,
+                         span->end)) {
+        continue;  // The hold does not cover this object.
       }
+      held.push_back(class_of(held_lock[slot], task.alloc));
+    }
+    auto it = seq_ids.find(held);
+    if (it == seq_ids.end()) {
       LockSeq seq;
-      seq.reserve(cached_positions.size());
-      for (const HeldPosition& held : cached_positions) {
-        if (held.has_range && span != nullptr &&
-            !RangesOverlap(held.range_start, held.range_end, span->first, span->second)) {
-          continue;  // The hold does not cover this object.
-        }
-        seq.push_back(ClassifyLockRow(db, registry, held.lock_row, task.alloc));
+      seq.reserve(held.size());
+      for (uint32_t id : held) {
+        seq.push_back(classes[id]);
       }
-      classified[i] = std::move(seq);
+      it = seq_ids.emplace(held, store.InternSeq(seq)).first;
+    }
+    task_seq_id[t] = it->second;
+  }
+
+  // --- Groups, built in place. ---
+  // Each group's access seqs, in row order, as one flat array indexed by
+  // group; and each member key's groups, in the order the fold opened them.
+  // Every list and every group's seqs is then allocated once, at its final
+  // size. Member keys are independent, so with a pool the lanes share that
+  // allocation work, one key at a time; the store is the same either way.
+  std::vector<size_t> seq_begin(open.size() + 1, 0);
+  for (size_t g = 0; g < open.size(); ++g) {
+    seq_begin[g + 1] = seq_begin[g] + open[g].n_reads + open[g].n_writes;
+  }
+  std::vector<uint64_t> seqs(seq_begin.back());
+  {
+    std::vector<size_t> next(seq_begin.begin(), seq_begin.end() - 1);
+    size_t kept = 0;
+    for (RowId row = 0; row < accesses.row_count(); ++row) {
+      if (acc_filter[row] == static_cast<uint64_t>(FilterReason::kNone)) {
+        seqs[next[access_group[kept++]]++] = acc_seq[row];
+      }
+    }
+  }
+  const size_t n_slots = slot_key.size();
+  std::vector<size_t> slot_begin(n_slots + 1, 0);
+  for (const OpenGroup& entry : open) {
+    ++slot_begin[entry.slot + 1];
+  }
+  for (size_t slot = 0; slot < n_slots; ++slot) {
+    slot_begin[slot + 1] += slot_begin[slot];
+  }
+  std::vector<uint32_t> slot_group(open.size());
+  {
+    std::vector<size_t> next(slot_begin.begin(), slot_begin.end() - 1);
+    for (size_t g = 0; g < open.size(); ++g) {
+      slot_group[next[open[g].slot]++] = static_cast<uint32_t>(g);
+    }
+  }
+  std::vector<std::vector<ObservationGroup>> slot_groups(n_slots);
+  auto build = [&](size_t begin, size_t end) {
+    for (size_t slot = begin; slot < end; ++slot) {
+      std::vector<ObservationGroup>& groups = slot_groups[slot];
+      groups.reserve(slot_begin[slot + 1] - slot_begin[slot]);
+      for (size_t i = slot_begin[slot]; i < slot_begin[slot + 1]; ++i) {
+        const uint32_t g = slot_group[i];
+        const OpenGroup& entry = open[g];
+        ObservationGroup& group = groups.emplace_back();
+        group.lockseq_id = task_seq_id[entry.task];
+        group.txn_id = tasks[entry.task].txn;
+        group.alloc_id = entry.alloc;
+        group.n_reads = entry.n_reads;
+        group.n_writes = entry.n_writes;
+        group.seqs.assign(seqs.begin() + static_cast<ptrdiff_t>(seq_begin[g]),
+                          seqs.begin() + static_cast<ptrdiff_t>(seq_begin[g + 1]));
+      }
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(tasks.size(), classify_range);
+    pool->ParallelFor(n_slots, build);
   } else {
-    classify_range(0, tasks.size());
+    build(0, n_slots);
   }
-
-  // --- Pass 3 (serial): intern in task order, then patch group ids. ---
-  std::vector<uint32_t> task_seq_id(tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    task_seq_id[i] = store.InternSeq(classified[i]);
+  for (size_t slot = 0; slot < slot_key.size(); ++slot) {
+    store.MutableGroups(slot_key[slot]) = std::move(slot_groups[slot]);
   }
-  for (const auto& [key, groups] : store.groups()) {
-    for (ObservationGroup& group : store.MutableGroups(key)) {
-      group.lockseq_id = task_seq_id[group.lockseq_id];
-    }
-  }
-
   return store;
 }
 

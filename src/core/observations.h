@@ -173,11 +173,13 @@ class LockPostingIndex {
 
 // Builds the observation store from an imported database. The database's
 // own string pool resolves interned strings; `registry` resolves member
-// names for lock classes. Folding scans accesses serially (they must be
-// visited in seq order), but the lock-classification work — one task per
-// distinct (txn, alloc) pair — is sharded over `pool` when one is given.
-// Lock-sequence ids are interned in task first-appearance order afterwards,
-// so the store contents are byte-identical at any thread count.
+// names for lock classes. One serial fold on integer ids groups the kept
+// accesses (they must be visited in seq order) and classifies each
+// distinct (txn, alloc) pair's held locks; lock-sequence ids are interned
+// in that pair's first-appearance order. The groups are then built in
+// place, member key by member key, shared over `pool` when one is given.
+// The store is a pure function of the database, identical at any thread
+// count; the working memory grows with the number of groups.
 ObservationStore ExtractObservations(const Database& db, const TypeRegistry& registry,
                                      ThreadPool* pool = nullptr);
 

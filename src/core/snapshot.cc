@@ -205,19 +205,22 @@ Status DecodeSeqsSection(std::string_view payload, size_t pool_size,
 //   u64 seq_count | u64 total_ids | u32 len[seq_count] | u32 ids[total_ids]
 // Decoding is a bounds-checked linear sweep with no varint branches.
 std::string EncodeSeqsSectionV2(const ObservationStore& store) {
-  std::string payload;
+  const uint64_t count = store.distinct_seqs();
   uint64_t total_ids = 0;
-  for (uint32_t i = 0; i < store.distinct_seqs(); ++i) {
+  for (uint32_t i = 0; i < count; ++i) {
     total_ids += store.id_seq(i).size();
   }
-  AppendUint64LE(payload, store.distinct_seqs());
-  AppendUint64LE(payload, total_ids);
-  for (uint32_t i = 0; i < store.distinct_seqs(); ++i) {
-    AppendUint32LE(payload, static_cast<uint32_t>(store.id_seq(i).size()));
-  }
-  for (uint32_t i = 0; i < store.distinct_seqs(); ++i) {
-    for (LockId id : store.id_seq(i)) {
-      AppendUint32LE(payload, id);
+  std::string payload(16 + 4 * count + 4 * total_ids, '\0');
+  StoreUint64LE(payload.data(), count);
+  StoreUint64LE(payload.data() + 8, total_ids);
+  char* lens = payload.data() + 16;
+  char* ids = lens + 4 * count;
+  for (uint32_t i = 0; i < count; ++i) {
+    const IdSeq& seq = store.id_seq(i);
+    StoreUint32LE(lens + 4 * size_t{i}, static_cast<uint32_t>(seq.size()));
+    for (LockId id : seq) {
+      StoreUint32LE(ids, id);
+      ids += 4;
     }
   }
   return payload;
@@ -354,7 +357,7 @@ Status DecodeGroupsSection(std::string_view payload, const TypeRegistry& registr
 //   u64 txn[G] | u64 alloc[G] | u32 seqs_per_group[G]
 //   u64 seqs[S]
 std::string EncodeGroupsSectionV2(const ObservationStore& store) {
-  uint64_t key_count = store.groups().size();
+  const uint64_t key_count = store.groups().size();
   uint64_t group_count = 0;
   uint64_t seq_total = 0;
   for (const auto& [key, groups] : store.groups()) {
@@ -363,43 +366,46 @@ std::string EncodeGroupsSectionV2(const ObservationStore& store) {
       seq_total += group.seqs.size();
     }
   }
-  std::string payload;
-  payload.reserve(24 + 16 * key_count + 32 * group_count + 8 * seq_total);
-  AppendUint64LE(payload, key_count);
-  AppendUint64LE(payload, group_count);
-  AppendUint64LE(payload, seq_total);
-  auto per_key = [&](auto&& fn) {
-    for (const auto& [key, groups] : store.groups()) {
-      fn(key, groups);
-    }
-  };
-  per_key([&](const MemberObsKey& key, const auto&) { AppendUint32LE(payload, key.type); });
-  per_key(
-      [&](const MemberObsKey& key, const auto&) { AppendUint32LE(payload, key.subclass); });
-  per_key([&](const MemberObsKey& key, const auto&) { AppendUint32LE(payload, key.member); });
-  per_key([&](const MemberObsKey&, const auto& groups) {
-    AppendUint32LE(payload, static_cast<uint32_t>(groups.size()));
-  });
-  auto per_group = [&](auto&& fn) {
-    for (const auto& [key, groups] : store.groups()) {
-      for (const ObservationGroup& group : groups) {
-        fn(group);
+  // Every array's offset is known from the three counts, so one walk
+  // stores each value in place.
+  std::string payload(24 + 16 * key_count + 32 * group_count + 8 * seq_total, '\0');
+  char* base = payload.data();
+  StoreUint64LE(base, key_count);
+  StoreUint64LE(base + 8, group_count);
+  StoreUint64LE(base + 16, seq_total);
+  char* key_type = base + 24;
+  char* key_subclass = key_type + 4 * key_count;
+  char* key_member = key_subclass + 4 * key_count;
+  char* groups_per_key = key_member + 4 * key_count;
+  char* lockseq = groups_per_key + 4 * key_count;
+  char* n_reads = lockseq + 4 * group_count;
+  char* n_writes = n_reads + 4 * group_count;
+  char* txn = n_writes + 4 * group_count;
+  char* alloc = txn + 8 * group_count;
+  char* seqs_per_group = alloc + 8 * group_count;
+  char* seqs = seqs_per_group + 4 * group_count;
+  size_t k = 0;
+  size_t g = 0;
+  for (const auto& [key, groups] : store.groups()) {
+    StoreUint32LE(key_type + 4 * k, key.type);
+    StoreUint32LE(key_subclass + 4 * k, key.subclass);
+    StoreUint32LE(key_member + 4 * k, key.member);
+    StoreUint32LE(groups_per_key + 4 * k, static_cast<uint32_t>(groups.size()));
+    ++k;
+    for (const ObservationGroup& group : groups) {
+      StoreUint32LE(lockseq + 4 * g, group.lockseq_id);
+      StoreUint32LE(n_reads + 4 * g, group.n_reads);
+      StoreUint32LE(n_writes + 4 * g, group.n_writes);
+      StoreUint64LE(txn + 8 * g, group.txn_id);
+      StoreUint64LE(alloc + 8 * g, group.alloc_id);
+      StoreUint32LE(seqs_per_group + 4 * g, static_cast<uint32_t>(group.seqs.size()));
+      ++g;
+      for (uint64_t seq : group.seqs) {
+        StoreUint64LE(seqs, seq);
+        seqs += 8;
       }
     }
-  };
-  per_group([&](const ObservationGroup& g) { AppendUint32LE(payload, g.lockseq_id); });
-  per_group([&](const ObservationGroup& g) { AppendUint32LE(payload, g.n_reads); });
-  per_group([&](const ObservationGroup& g) { AppendUint32LE(payload, g.n_writes); });
-  per_group([&](const ObservationGroup& g) { AppendUint64LE(payload, g.txn_id); });
-  per_group([&](const ObservationGroup& g) { AppendUint64LE(payload, g.alloc_id); });
-  per_group([&](const ObservationGroup& g) {
-    AppendUint32LE(payload, static_cast<uint32_t>(g.seqs.size()));
-  });
-  per_group([&](const ObservationGroup& g) {
-    for (uint64_t seq : g.seqs) {
-      AppendUint64LE(payload, seq);
-    }
-  });
+  }
   return payload;
 }
 
@@ -499,13 +505,10 @@ struct MappedBacking : SnapshotBacking {
 // Shared decode across container versions; `backing` is non-null when
 // numeric table columns may be attached as views into `bytes`.
 Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegistry& registry,
-                                         const SnapshotLoadOptions& options,
                                          std::shared_ptr<const SnapshotBacking> backing) {
   uint64_t container_version = SnapshotContainerVersion(bytes);
-  SnapshotScanMode mode = (container_version == 2 && !options.verify_payload_crcs)
-                              ? SnapshotScanMode::kVerifyHeaders
-                              : SnapshotScanMode::kVerifyAll;
-  Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes, mode);
+  // Every payload CRC is verified: no consumer computes on corrupt bytes.
+  Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -589,6 +592,28 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
   return snapshot;
 }
 
+// Meta, strings and one table section per database table, in name order:
+// everything the import fixes before observations are extracted.
+void AddHeadSections(const AnalysisSnapshot& snapshot, const TypeRegistry& registry, bool v2,
+                     SnapshotWriter& writer) {
+  writer.AddSection(kSnapshotSectionMeta,
+                    EncodeMetaSection(snapshot, registry.type_count(),
+                                      v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion));
+  writer.AddSection(kSnapshotSectionStrings, EncodeStringsSection(snapshot.db.strings()));
+  for (const std::string& name : snapshot.db.TableNames()) {
+    writer.AddTableSection(snapshot.db.table(name));
+  }
+}
+
+// Pool, seqs and groups: the sections that depend on extraction.
+void AddObservationSections(const ObservationStore& store, bool v2, SnapshotWriter& writer) {
+  writer.AddSection(kSnapshotSectionPool, EncodePoolSection(store.pool()));
+  writer.AddSection(kSnapshotSectionSeqs,
+                    v2 ? EncodeSeqsSectionV2(store) : EncodeSeqsSection(store));
+  writer.AddSection(kSnapshotSectionGroups,
+                    v2 ? EncodeGroupsSectionV2(store) : EncodeGroupsSection(store));
+}
+
 }  // namespace
 
 Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
@@ -596,57 +621,27 @@ Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
                                            const SnapshotWriteOptions& options) {
   LOCKDOC_CHECK(options.container_version == 1 || options.container_version == 2);
   const bool v2 = options.container_version == 2;
-  const std::vector<std::string> names = snapshot.db.TableNames();
-  // Section payloads are independent, so they encode in parallel; the
-  // container assembly below stays serial and deterministic.
-  const size_t section_count = names.size() + 5;
-  std::vector<std::string> payloads(section_count);
-  auto encode_one = [&](size_t i) {
-    if (i == 0) {
-      payloads[i] = EncodeMetaSection(snapshot, registry.type_count(),
-                                      v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion);
-    } else if (i == 1) {
-      payloads[i] = EncodeStringsSection(snapshot.db.strings());
-    } else if (i < 2 + names.size()) {
-      const Table& table = snapshot.db.table(names[i - 2]);
-      payloads[i] = v2 ? EncodeTableSectionV2(table) : EncodeTableSection(table);
-    } else if (i == 2 + names.size()) {
-      payloads[i] = EncodePoolSection(snapshot.observations.pool());
-    } else if (i == 3 + names.size()) {
-      payloads[i] =
-          v2 ? EncodeSeqsSectionV2(snapshot.observations) : EncodeSeqsSection(snapshot.observations);
-    } else {
-      payloads[i] = v2 ? EncodeGroupsSectionV2(snapshot.observations)
-                       : EncodeGroupsSection(snapshot.observations);
-    }
-  };
-  if (options.pool != nullptr) {
-    options.pool->ParallelFor(section_count, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        encode_one(i);
-      }
-    });
-  } else {
-    for (size_t i = 0; i < section_count; ++i) {
-      encode_one(i);
-    }
-  }
   SnapshotWriter writer(options.container_version);
-  writer.set_crc_pool(options.pool);
-  size_t framed = 0;
-  for (const std::string& payload : payloads) {
-    // Upper bound on per-section framing overhead for either version.
-    framed += kSnapshotV2FrameHeaderSize + PaddedPayloadSize(payload.size()) + 16;
+  // One allocation for the whole file: the tables' u64 columns bound their
+  // sections (v2 stores them as is, v1's varints are rarely longer), plus
+  // the string pool, the observation payloads and headroom for the small
+  // sections.
+  size_t estimate = 1 << 16;
+  for (const std::string& text : snapshot.db.strings().strings()) {
+    estimate += text.size() + 10;
   }
-  writer.Reserve(framed);
-  writer.AddSection(kSnapshotSectionMeta, payloads[0]);
-  writer.AddSection(kSnapshotSectionStrings, payloads[1]);
-  for (size_t i = 0; i < names.size(); ++i) {
-    writer.AddSection(kSnapshotSectionTable, payloads[2 + i]);
+  for (const std::string& name : snapshot.db.TableNames()) {
+    const Table& table = snapshot.db.table(name);
+    estimate += table.row_count() * table.column_count() * sizeof(uint64_t) + 256;
   }
-  writer.AddSection(kSnapshotSectionPool, payloads[2 + names.size()]);
-  writer.AddSection(kSnapshotSectionSeqs, payloads[3 + names.size()]);
-  writer.AddSection(kSnapshotSectionGroups, payloads[4 + names.size()]);
+  for (const auto& [key, groups] : snapshot.observations.groups()) {
+    for (const ObservationGroup& group : groups) {
+      estimate += 32 + 8 * group.seqs.size();
+    }
+  }
+  writer.Reserve(estimate);
+  AddHeadSections(snapshot, registry, v2, writer);
+  AddObservationSections(snapshot.observations, v2, writer);
   return writer.Finish();
 }
 
@@ -658,10 +653,9 @@ std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegist
 }
 
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
-                                             const TypeRegistry& registry,
-                                             const SnapshotLoadOptions& options) {
+                                             const TypeRegistry& registry) {
   if (SnapshotContainerVersion(bytes) != 2) {
-    return DeserializeImpl(bytes, registry, options, nullptr);
+    return DeserializeImpl(bytes, registry, nullptr);
   }
   // v2 numeric columns view into the container bytes; copy them once into
   // an aligned owned buffer the snapshot keeps alive (a caller's
@@ -672,7 +666,7 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
   backing->bytes =
       std::string_view(reinterpret_cast<const char*>(backing->buffer.get()), bytes.size());
   std::string_view view = backing->bytes;
-  return DeserializeImpl(view, registry, options, std::move(backing));
+  return DeserializeImpl(view, registry, std::move(backing));
 }
 
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path) {
@@ -742,44 +736,29 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   if (!io.ok()) {
     return io;
   }
-
-  SnapshotWriter writer(write_options.container_version);
-  size_t flushed = 0;
-  auto flush = [&]() -> Status {
-    std::string_view pending = writer.pending();
-    Status status = file.Append(pending.substr(flushed));
-    flushed = pending.size();
-    file.FlushHint();
+  // Frames go to the file as they are built: table sections straight from
+  // column memory, nothing gathered into a payload or whole-file buffer.
+  // Writeback is started behind the writer every few MiB so the final
+  // fsync finds most pages on their way to disk.
+  constexpr uint64_t kHintBytes = 8 << 20;
+  uint64_t hinted = 0;
+  SnapshotWriter writer(write_options.container_version, [&](std::string_view bytes) {
+    Status status = file.Append(bytes);
+    if (status.ok() && file.bytes_written() - hinted >= kHintBytes) {
+      file.FlushHint();
+      hinted = file.bytes_written();
+    }
     return status;
-  };
+  });
 
   // Everything up to the observation sections is fully determined by the
   // import, so the head of the file — meta, strings, and the table sections
-  // that dominate its size — can encode and stream to disk while extraction
-  // runs. The head writer only *reads* the database (encode + CRC); the
-  // extraction threads also only read it, so the two proceed without
-  // synchronization beyond the join below.
-  const std::vector<std::string> names = snapshot.db.TableNames();
-  Status head_io;
-  auto write_head = [&]() {
-    writer.AddSection(kSnapshotSectionMeta,
-                      EncodeMetaSection(snapshot, registry.type_count(),
-                                        v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion));
-    writer.AddSection(kSnapshotSectionStrings, EncodeStringsSection(snapshot.db.strings()));
-    head_io = flush();
-    for (const std::string& name : names) {
-      if (!head_io.ok()) {
-        return;
-      }
-      const Table& table = snapshot.db.table(name);
-      writer.AddSection(kSnapshotSectionTable,
-                        v2 ? EncodeTableSectionV2(table) : EncodeTableSection(table));
-      head_io = flush();
-    }
-  };
-
-  // With one job the contract is a strictly serial pipeline; the overlap is
-  // only taken when the caller asked for parallelism.
+  // that dominate its size — can stream to disk while extraction runs. The
+  // head writer only *reads* the database (CRC + write); extraction also
+  // only reads it, so the two proceed without synchronization beyond the
+  // join below. With one job the contract is a strictly serial pipeline;
+  // the overlap is only taken when the caller asked for parallelism.
+  auto write_head = [&] { AddHeadSections(snapshot, registry, v2, writer); };
   const bool overlap = pool.thread_count() > 1;
   std::thread head_thread;
   if (overlap) {
@@ -798,26 +777,11 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   } else {
     write_head();
   }
-  if (!head_io.ok()) {
-    return head_io;  // Append already removed the temp file.
-  }
-
-  // Tail sections depend on the extracted observations. The pool is idle
-  // again, so the payload CRCs may use it.
-  writer.set_crc_pool(&pool);
-  writer.AddSection(kSnapshotSectionPool, EncodePoolSection(snapshot.observations.pool()));
-  writer.AddSection(kSnapshotSectionSeqs, v2 ? EncodeSeqsSectionV2(snapshot.observations)
-                                             : EncodeSeqsSection(snapshot.observations));
-  writer.AddSection(kSnapshotSectionGroups, v2 ? EncodeGroupsSectionV2(snapshot.observations)
-                                               : EncodeGroupsSection(snapshot.observations));
-  Result<std::string> bytes = writer.Finish();
-  if (!bytes.ok()) {
-    file.Abort();
-    return bytes.status();
-  }
-  io = file.Append(std::string_view(bytes.value()).substr(flushed));
-  if (!io.ok()) {
-    return io;
+  AddObservationSections(snapshot.observations, v2, writer);
+  Result<std::string> finished = writer.Finish();
+  if (!finished.ok()) {
+    file.Abort();  // No-op when a failed Append already removed the temp file.
+    return finished.status();
   }
   io = file.Commit();
   if (!io.ok()) {
@@ -827,7 +791,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   if (timings != nullptr) {
     // Only the tail that could not hide behind extraction; the overlapped
     // head writing is already accounted inside the extraction wall time.
-    timings->Add("snapshot save", seconds(t2, t3), bytes.value().size());
+    timings->Add("snapshot save", seconds(t2, t3), writer.bytes_written());
   }
   return snapshot;
 }
@@ -844,8 +808,7 @@ Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& regist
   return WriteFileAtomic(path, bytes.value());
 }
 
-Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry,
-                                      const SnapshotLoadOptions& options) {
+Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry) {
   Result<MappedFile> mapped = MappedFile::Open(path);
   if (!mapped.ok()) {
     return mapped.status();
@@ -854,16 +817,14 @@ Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistr
   backing->file = std::move(mapped).value();
   backing->bytes = backing->file.bytes();
   std::string_view bytes = backing->bytes;
-  if (options.verify_payload_crcs) {
-    // The CRC sweep is about to read every page front to back; batch the
-    // faults. The trusted load skips this so untouched pages never fault.
-    backing->file.AdviseSequentialScan();
-  }
+  // The CRC sweep is about to read every page front to back; batch the
+  // faults.
+  backing->file.AdviseSequentialScan();
   if (SnapshotContainerVersion(bytes) != 2) {
     // v1 decodes into owned storage; the mapping is released on return.
-    return DeserializeImpl(bytes, registry, options, nullptr);
+    return DeserializeImpl(bytes, registry, nullptr);
   }
-  return DeserializeImpl(bytes, registry, options, std::move(backing));
+  return DeserializeImpl(bytes, registry, std::move(backing));
 }
 
 }  // namespace lockdoc

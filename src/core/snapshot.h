@@ -7,9 +7,9 @@
 // table in name order, pool, seqs, groups, end — and every payload is
 // emitted from deterministically-ordered containers, so serializing the
 // same snapshot always yields byte-identical files regardless of the thread
-// count that built it. Payload encoding per section is parallelized over
-// the optional thread pool; the concatenation stays serial, preserving the
-// byte-identity contract.
+// count that built it. SerializeSnapshotBytes and BuildAndSaveSnapshot frame
+// the sections with the same code (SnapshotWriter): one into a string, the
+// other straight into the file, so their bytes match by construction.
 //
 // Two container versions are written and read (docs/lockdb-format.md):
 // v1 keeps the original varint payloads; v2 (the default) lays out numeric
@@ -28,29 +28,12 @@
 #include "src/db/snapshot.h"
 #include "src/model/type_registry.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 
 struct SnapshotWriteOptions {
   // 2 writes the zero-copy columnar container, 1 the legacy varint one.
   uint64_t container_version = 2;
-  // When set, section payloads are encoded in parallel (output bytes are
-  // identical either way).
-  ThreadPool* pool = nullptr;
-};
-
-struct SnapshotLoadOptions {
-  // Verify every payload CRC during the load. On v2 containers this is a
-  // straight CRC32 sweep over the mapped bytes — still far cheaper than a
-  // v1 varint decode — and it is the default because every shipped consumer
-  // (CLI analysis, serve, doctor) promises never to compute on corrupt
-  // bytes. Set to false only when the file is trusted (e.g. written moments
-  // ago by the same process, or benchmarking the pure zero-copy path): the
-  // v2 load then defers table payload CRCs entirely and attaches column
-  // views unchecked. v1 files always verify (their frame CRC covers the
-  // payload).
-  bool verify_payload_crcs = true;
 };
 
 // Snapshot -> .lockdb bytes. `registry` is the registry the snapshot was
@@ -74,8 +57,7 @@ std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegist
 // numeric table columns can be viewed in place; use LoadSnapshot to map a
 // file without that copy.
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
-                                             const TypeRegistry& registry,
-                                             const SnapshotLoadOptions& options = {});
+                                             const TypeRegistry& registry);
 
 // Reads just the registry type count from a .lockdb file's meta section,
 // without loading (or validating) the rest of the snapshot. Callers use it
@@ -109,8 +91,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
 // released before returning.
 Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
                     const std::string& path, const SnapshotWriteOptions& options = {});
-Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry,
-                                      const SnapshotLoadOptions& options = {});
+Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry);
 
 }  // namespace lockdoc
 

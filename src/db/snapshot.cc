@@ -85,60 +85,108 @@ Status VerifySectionPayloadCrc(const SnapshotSection& section) {
 }
 
 SnapshotWriter::SnapshotWriter(uint64_t container_version, uint64_t max_section_payload)
+    : SnapshotWriter(container_version, max_section_payload, nullptr) {}
+
+SnapshotWriter::SnapshotWriter(uint64_t container_version, SnapshotSink sink)
+    : SnapshotWriter(container_version, 0, std::move(sink)) {}
+
+SnapshotWriter::SnapshotWriter(uint64_t container_version, uint64_t max_section_payload,
+                               SnapshotSink sink)
     : version_(container_version),
       max_payload_(max_section_payload != 0      ? max_section_payload
                    : container_version == 1 ? kMaxSnapshotSectionPayloadV1
-                                            : UINT64_MAX) {
+                                            : UINT64_MAX),
+      sink_(std::move(sink)) {
   LOCKDOC_CHECK(version_ == 1 || version_ == 2);
-  out_.append(version_ == 1 ? kSnapshotMagic : kSnapshotMagicV2, sizeof(kSnapshotMagic));
+  Emit(std::string_view(version_ == 1 ? kSnapshotMagic : kSnapshotMagicV2,
+                        sizeof(kSnapshotMagic)));
+}
+
+void SnapshotWriter::Emit(std::string_view bytes) {
+  if (!status_.ok() || bytes.empty()) {
+    return;
+  }
+  if (sink_) {
+    status_ = sink_(bytes);
+    if (!status_.ok()) {
+      return;
+    }
+  } else {
+    out_.append(bytes);
+  }
+  written_ += bytes.size();
 }
 
 void SnapshotWriter::AddSection(SnapshotSectionType type, std::string_view payload) {
+  AddSection(type, std::vector<std::string_view>{payload});
+}
+
+void SnapshotWriter::AddSection(SnapshotSectionType type,
+                                const std::vector<std::string_view>& pieces) {
   if (!status_.ok()) {
-    return;  // Sticky: one oversized section poisons the whole file.
+    return;  // Sticky: one failed section poisons the whole file.
   }
-  if (payload.size() > max_payload_) {
+  uint64_t length = 0;
+  for (std::string_view piece : pieces) {
+    length += piece.size();
+  }
+  if (length > max_payload_) {
     status_ = Status::Error(StrFormat(
         "snapshot section %s: payload of %llu bytes exceeds the v%llu container cap of %llu "
         "bytes",
-        SnapshotSectionName(type), static_cast<unsigned long long>(payload.size()),
+        SnapshotSectionName(type), static_cast<unsigned long long>(length),
         static_cast<unsigned long long>(version_),
         static_cast<unsigned long long>(max_payload_)));
     return;
   }
-  size_t header_start = out_.size();
-  out_.append(MarkerView());
-  out_.push_back(static_cast<char>(type));
+  std::string header(MarkerView());
+  header.push_back(static_cast<char>(type));
   if (version_ == 1) {
-    AppendUint32LE(out_, next_seq_++);
-    AppendUint32LE(out_, static_cast<uint32_t>(payload.size()));
-    out_.append(payload.data(), payload.size());
+    AppendUint32LE(header, next_seq_++);
+    AppendUint32LE(header, static_cast<uint32_t>(length));
     // The CRC covers everything after the marker: type, seq, length, payload.
-    uint32_t crc = Crc32(out_.data() + header_start + sizeof(kSnapshotFrameMarker),
-                         out_.size() - header_start - sizeof(kSnapshotFrameMarker));
-    AppendUint32LE(out_, crc);
+    uint32_t crc = Crc32Update(0, header.data() + sizeof(kSnapshotFrameMarker),
+                               header.size() - sizeof(kSnapshotFrameMarker));
+    for (std::string_view piece : pieces) {
+      crc = Crc32Update(crc, piece.data(), piece.size());
+    }
+    std::string trailer;
+    AppendUint32LE(trailer, crc);
+    Emit(header);
+    for (std::string_view piece : pieces) {
+      Emit(piece);
+    }
+    Emit(trailer);
     return;
   }
   // v2: fixed 32-byte header (see snapshot.h), payload zero-padded to 8.
-  uint64_t padded = PaddedPayloadSize(payload.size());
+  // The payload CRC chains over the pieces and the padding, so the payload
+  // is checksummed where it lies.
   const char zeros[8] = {0};
-  uint32_t payload_crc = Crc32Parallel(payload.data(), payload.size(), crc_pool_);
-  payload_crc = Crc32Update(payload_crc, zeros, padded - payload.size());
-  out_.append(3, '\0');  // Pad after the type byte.
-  AppendUint32LE(out_, next_seq_++);
-  AppendUint64LE(out_, payload.size());
-  AppendUint32LE(out_, payload_crc);
-  out_.append(4, '\0');
-  uint32_t header_crc =
-      Crc32(out_.data() + header_start + kSnapshotV2TypeOffset,
-            kSnapshotV2HeaderCrcOffset - kSnapshotV2TypeOffset);
-  AppendUint32LE(out_, header_crc);
-  out_.append(payload.data(), payload.size());
-  out_.append(padded - payload.size(), '\0');
+  const uint64_t padding = PaddedPayloadSize(length) - length;
+  uint32_t payload_crc = 0;
+  for (std::string_view piece : pieces) {
+    payload_crc = Crc32Update(payload_crc, piece.data(), piece.size());
+  }
+  payload_crc = Crc32Update(payload_crc, zeros, padding);
+  header.append(3, '\0');  // Pad after the type byte.
+  AppendUint32LE(header, next_seq_++);
+  AppendUint64LE(header, length);
+  AppendUint32LE(header, payload_crc);
+  header.append(4, '\0');
+  AppendUint32LE(header, Crc32(header.data() + kSnapshotV2TypeOffset,
+                               kSnapshotV2HeaderCrcOffset - kSnapshotV2TypeOffset));
+  Emit(header);
+  for (std::string_view piece : pieces) {
+    Emit(piece);
+  }
+  Emit(std::string_view(zeros, padding));
 }
 
 void SnapshotWriter::Reserve(size_t total_bytes) {
-  out_.reserve(out_.size() + total_bytes);
+  if (!sink_) {
+    out_.reserve(out_.size() + total_bytes);
+  }
 }
 
 Result<std::string> SnapshotWriter::Finish() {
@@ -873,34 +921,40 @@ Status DecodeTableSection(std::string_view payload, Database* db) {
   return Status::Ok();
 }
 
-std::string EncodeTableSectionV2(const Table& table) {
-  std::string payload;
-  EncodeTableHeader(table, &payload);
+void SnapshotWriter::AddTableSection(const Table& table) {
+  if (version_ == 1) {
+    AddSection(kSnapshotSectionTable, EncodeTableSection(table));
+    return;
+  }
   // Numeric columns start at the next 8-byte boundary so a loader mapping
-  // the (8-aligned) payload can view them in place.
-  payload.append(PaddedPayloadSize(payload.size()) - payload.size(), '\0');
+  // the (8-aligned) payload can view them in place. They go out straight
+  // from the table's column memory; only the header and the (small) string
+  // columns are encoded here.
+  std::string header;
+  EncodeTableHeader(table, &header);
+  header.append(PaddedPayloadSize(header.size()) - header.size(), '\0');
+  std::vector<std::string_view> pieces = {header};
+  std::string strings;
   for (size_t column = 0; column < table.column_count(); ++column) {
     switch (table.columns()[column].type) {
       case ColumnType::kUint64:
-        payload.append(reinterpret_cast<const char*>(table.ColumnU64Data(column)),
-                       table.row_count() * sizeof(uint64_t));
+        pieces.emplace_back(reinterpret_cast<const char*>(table.ColumnU64Data(column)),
+                            table.row_count() * sizeof(uint64_t));
         break;
       case ColumnType::kDouble:
-        payload.append(reinterpret_cast<const char*>(table.ColumnF64Data(column)),
-                       table.row_count() * sizeof(double));
+        pieces.emplace_back(reinterpret_cast<const char*>(table.ColumnF64Data(column)),
+                            table.row_count() * sizeof(double));
         break;
       case ColumnType::kString:
-        break;  // Variable-width columns follow the fixed-width block.
+        // Variable-width columns follow the fixed-width block.
+        for (const std::string& value : table.column_data(column).str) {
+          PutLengthPrefixed(strings, value);
+        }
+        break;
     }
   }
-  for (size_t column = 0; column < table.column_count(); ++column) {
-    if (table.columns()[column].type == ColumnType::kString) {
-      for (const std::string& value : table.column_data(column).str) {
-        PutLengthPrefixed(payload, value);
-      }
-    }
-  }
-  return payload;
+  pieces.push_back(strings);
+  AddSection(kSnapshotSectionTable, pieces);
 }
 
 Status DecodeTableSectionV2(std::string_view payload, bool zero_copy, Database* db) {

@@ -45,6 +45,7 @@
 #define SRC_DB_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,10 +53,6 @@
 #include "src/db/database.h"
 #include "src/trace/string_pool.h"
 #include "src/util/status.h"
-
-namespace lockdoc {
-class ThreadPool;
-}
 
 namespace lockdoc {
 
@@ -117,49 +114,61 @@ struct SnapshotSection {
 // scan already checked it.
 Status VerifySectionPayloadCrc(const SnapshotSection& section);
 
-// Serializes sections into the container format. Usage: AddSection for each
-// payload in order, then Finish exactly once. An oversized payload poisons
-// the writer with a typed error (sticky: later sections are ignored and
-// Finish returns it) instead of silently truncating the 32-bit v1 length.
+// Receives framed .lockdb bytes in file order (a file being streamed, for
+// instance). A non-Ok status stops the writer.
+using SnapshotSink = std::function<Status(std::string_view bytes)>;
+
+// Frames sections into the container format. Usage: add each section in
+// order, then Finish exactly once. Frames are emitted as they are added:
+// into an in-memory buffer that Finish returns, or to a sink. A payload can
+// be given in pieces, which are checksummed and emitted in place without
+// being joined, so a table section goes out straight from column memory.
+// An oversized payload or a sink error poisons the writer with a typed
+// error (sticky: later sections are ignored and Finish returns it) instead
+// of silently truncating the 32-bit v1 length.
 class SnapshotWriter {
  public:
-  // `container_version` is 1 or 2. `max_section_payload` overrides the
-  // version's payload cap — tests inject a tiny cap to exercise the
-  // overflow guard without materializing gigabyte payloads; 0 keeps the
-  // default (v1: kMaxSnapshotSectionPayloadV1, v2: unbounded 64-bit).
+  // Buffers the file in memory. `container_version` is 1 or 2.
+  // `max_section_payload` overrides the version's payload cap — tests
+  // inject a tiny cap to exercise the overflow guard without materializing
+  // gigabyte payloads; 0 keeps the default (v1: kMaxSnapshotSectionPayloadV1,
+  // v2: unbounded 64-bit).
   explicit SnapshotWriter(uint64_t container_version = 1,
                           uint64_t max_section_payload = 0);
+  // Streams every frame to `sink`, magic first.
+  SnapshotWriter(uint64_t container_version, SnapshotSink sink);
 
   void AddSection(SnapshotSectionType type, std::string_view payload);
+  // One section whose payload is the concatenation of `pieces`.
+  void AddSection(SnapshotSectionType type, const std::vector<std::string_view>& pieces);
+  // A table section in this container's table payload format: v1 encodes
+  // the varint payload, v2 frames the header and the column arrays in place.
+  void AddTableSection(const Table& table);
 
-  // Grows the output buffer once instead of doubling through AddSection
-  // appends; `total_bytes` should be the sum of framed section sizes.
+  // Grows the in-memory buffer once instead of doubling through the adds;
+  // `total_bytes` should be the sum of framed section sizes.
   void Reserve(size_t total_bytes);
 
-  // When set, v2 payload CRCs are computed on the pool (chunked and
-  // combined; bit-identical to the serial CRC). Section *content* never
-  // depends on this — only how fast the checksum is computed.
-  void set_crc_pool(ThreadPool* pool) { crc_pool_ = pool; }
-
-  // Bytes framed so far; grows with every AddSection. Streaming writers
-  // flush this incrementally to disk while later sections are still being
-  // produced, then write whatever Finish() returns beyond the flushed
-  // prefix (Finish only appends, it never rewrites earlier bytes).
-  std::string_view pending() const { return out_; }
-
-  // Appends the end section and returns the complete file bytes, or the
-  // sticky error if any AddSection failed.
+  // Appends the end section. Returns the complete file bytes when
+  // buffering, an empty string when streaming, or the sticky error if any
+  // section failed.
   Result<std::string> Finish();
 
   const Status& status() const { return status_; }
+  // Bytes framed so far, magic included.
+  uint64_t bytes_written() const { return written_; }
 
  private:
+  SnapshotWriter(uint64_t container_version, uint64_t max_section_payload, SnapshotSink sink);
+  void Emit(std::string_view bytes);
+
   uint64_t version_ = 1;
   uint64_t max_payload_ = 0;
+  SnapshotSink sink_;  // Empty when buffering into out_.
   Status status_;
   std::string out_;
+  uint64_t written_ = 0;
   uint32_t next_seq_ = 0;
-  ThreadPool* crc_pool_ = nullptr;
 };
 
 // How much of a snapshot the strict scan checksums. kVerifyAll is the
@@ -265,11 +274,11 @@ Status DecodeTableSection(std::string_view payload, Database* db);
 // row count) zero-padded to an 8-byte boundary, then u64/f64 columns as raw
 // 8-byte LE arrays in column order — viewable in place when the payload is
 // 8-aligned and the host is little-endian — and string columns
-// length-prefixed at the end. `DecodeTableSectionV2` attaches u64/f64
-// columns as zero-copy views into `payload` when `zero_copy` is set (the
-// caller guarantees the backing bytes outlive the database); otherwise it
-// copies.
-std::string EncodeTableSectionV2(const Table& table);
+// length-prefixed at the end. SnapshotWriter::AddTableSection frames it
+// from the table's own column memory. `DecodeTableSectionV2` attaches
+// u64/f64 columns as zero-copy views into `payload` when `zero_copy` is set
+// (the caller guarantees the backing bytes outlive the database);
+// otherwise it copies.
 Status DecodeTableSectionV2(std::string_view payload, bool zero_copy, Database* db);
 
 }  // namespace lockdoc

@@ -1,5 +1,7 @@
 #include "src/monitor/allocation_tracker.h"
 
+#include <algorithm>
+
 #include "src/util/logging.h"
 
 namespace lockdoc {
@@ -46,13 +48,20 @@ std::optional<AllocationId> AllocationTracker::OnFree(const TraceEvent& event) {
 }
 
 std::optional<AllocationId> AllocationTracker::Find(Address addr) const {
+  Address span_end = 0;
+  return Find(addr, &span_end);
+}
+
+std::optional<AllocationId> AllocationTracker::Find(Address addr, Address* span_end) const {
   auto it = live_.upper_bound(addr);
+  const Address next_start = it == live_.end() ? UINT64_MAX : it->first;
   if (it == live_.begin()) {
     return std::nullopt;
   }
   --it;
   const AllocationInfo& info = allocations_[it->second];
   if (addr >= info.addr && addr < info.addr + info.size) {
+    *span_end = std::min<Address>(info.addr + info.size, next_start);
     return info.id;
   }
   return std::nullopt;

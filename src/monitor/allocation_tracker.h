@@ -42,6 +42,10 @@ class AllocationTracker {
 
   // The live allocation containing `addr`, if any.
   std::optional<AllocationId> Find(Address addr) const;
+  // Find, plus the end of the span from the allocation's start that Find
+  // maps to the same allocation until the live set next changes (the
+  // allocation's end, or the next live start if that comes first).
+  std::optional<AllocationId> Find(Address addr, Address* span_end) const;
 
   // Lifetime record of any allocation ever seen (live or freed).
   const AllocationInfo& info(AllocationId id) const;

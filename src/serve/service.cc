@@ -750,9 +750,9 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
     return;
   }
   // Zero-copy load: v2 snapshots keep their table columns in the mapping.
-  // Payload CRCs are verified during the load (the SnapshotLoadOptions
-  // default) — the no-wrong-answer invariant does not bend for speed, and a
-  // CRC sweep over mapped bytes is still far cheaper than a v1 decode.
+  // Payload CRCs are verified during every load — the no-wrong-answer
+  // invariant does not bend for speed, and a CRC sweep over mapped bytes is
+  // still far cheaper than a v1 decode.
   const TypeRegistry* registry = registry_;
   if (extended_registry_ != nullptr) {
     auto type_count = PeekSnapshotTypeCount(path);

@@ -551,9 +551,15 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
     }
   }
 
+  // Each event frame leads with its event count, bounded by the frame's
+  // length. Prefix sums over the counts give every frame its slice of the
+  // trace's one event array, so the parallel decode writes each event
+  // straight into its final slot; nothing is merged afterwards.
   const size_t stack_count = stacks.size();
   struct FrameDecode {
-    std::vector<TraceEvent> events;
+    size_t first_event = 0;  // Index of the frame's first event in the trace.
+    uint64_t count = 0;
+    size_t body_off = 0;  // First record, just past the count.
     size_t error_offset = 0;
     const char* error = nullptr;
     // String/stack references are validated during the parallel decode
@@ -562,31 +568,46 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
     bool bad_reference = false;
   };
   std::vector<FrameDecode> slots(event_frames.size());
+  size_t total_events = 0;
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const auto& [off, len] = event_frames[j];
+    FrameDecode& slot = slots[j];
+    ByteCursor c{bytes.data(), off + len, off};
+    if (!GetVarint(c, &slot.count) || slot.count > len) {
+      slot.count = 0;
+      slot.error_offset = off;
+      slot.error = "malformed event frame";
+    }
+    slot.first_event = total_events;
+    slot.body_off = c.pos;
+    total_events += slot.count;
+  }
+
+  Trace trace;
+  std::vector<TraceEvent>& events = trace.mutable_events();
+  events.resize(total_events);
   auto decode_body = [&](size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
-      const auto& [off, len] = event_frames[j];
       FrameDecode& slot = slots[j];
-      ByteCursor c{bytes.data(), off + len, off};
-      uint64_t count = 0;
-      if (!GetVarint(c, &count) || count > len) {
-        slot.error_offset = off;
-        slot.error = "malformed event frame";
+      if (slot.error != nullptr) {
         continue;
       }
-      slot.events.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
+      const auto& [off, len] = event_frames[j];
+      ByteCursor c{bytes.data(), off + len, slot.body_off};
+      for (uint64_t i = 0; i < slot.count; ++i) {
         size_t record_start = c.pos;
-        TraceEvent e;
+        TraceEvent& e = events[slot.first_event + i];
         if (!GetEvent(c, &e)) {
           slot.error_offset = record_start;
           slot.error = "truncated or malformed event";
           break;
         }
+        // Append() would have numbered each event as it landed; do the same.
+        e.seq = slot.first_event + i;
         if (e.name >= pool_size || e.loc.file >= pool_size ||
             (e.stack != kInvalidStack && e.stack >= stack_count)) {
           slot.bad_reference = true;
         }
-        slot.events.push_back(e);
       }
     }
   };
@@ -605,23 +626,8 @@ Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
       return OffsetError(parse_end, "event references unknown string");
     }
   }
-
-  Trace trace;
   trace.mutable_string_pool().Reset(std::move(strings));
   trace.ResetStacks(std::move(stacks));
-  size_t total_events = 0;
-  for (const FrameDecode& slot : slots) {
-    total_events += slot.events.size();
-  }
-  std::vector<TraceEvent>& merged = trace.mutable_events();
-  merged.reserve(total_events);
-  for (const FrameDecode& slot : slots) {
-    merged.insert(merged.end(), slot.events.begin(), slot.events.end());
-  }
-  // Append() would have renumbered each event as it landed; do the same.
-  for (size_t i = 0; i < merged.size(); ++i) {
-    merged[i].seq = i;
-  }
 
   report.events_salvaged = trace.size();
   if (*declared_total != report.events_salvaged) {

@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "src/util/logging.h"
@@ -47,10 +48,24 @@ Status FsyncRetry(int fd, const std::string& name) {
 }  // namespace
 
 Result<std::string> ReadFdToString(int fd, const std::string& name) {
+  // The file size is only a hint: /proc files report 0, pipes have none,
+  // and a growing file outruns it. Reads land directly in the string, sized
+  // for the hint plus one chunk so a regular file reaches EOF without
+  // regrowing; anything beyond grows the string as it comes.
+  constexpr size_t kChunk = 1 << 16;
+  size_t hint = 0;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    hint = static_cast<size_t>(st.st_size);
+  }
   std::string out;
-  char buffer[1 << 16];
+  out.resize(hint + kChunk);
+  size_t used = 0;
   while (true) {
-    ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (out.size() - used < kChunk) {
+      out.resize(std::max(out.size() * 2, used + kChunk));
+    }
+    ssize_t n = ::read(fd, out.data() + used, out.size() - used);
     if (n < 0) {
       if (errno == EINTR) {
         continue;  // A signal mid-read is not damage.
@@ -58,10 +73,11 @@ Result<std::string> ReadFdToString(int fd, const std::string& name) {
       return Status::Error(StrFormat("read %s: %s", name.c_str(), ErrnoText().c_str()));
     }
     if (n == 0) {
+      out.resize(used);
       return out;
     }
     // Short reads are normal (pipes, NFS, signals): keep looping until EOF.
-    out.append(buffer, static_cast<size_t>(n));
+    used += static_cast<size_t>(n);
   }
 }
 

@@ -57,6 +57,19 @@ uint32_t LoadUint32LE(const char* data);
 void AppendUint64LE(std::string& out, uint64_t value);
 uint64_t LoadUint64LE(const char* data);
 
+// Writes `value` at `out` (which must have room), for encoders that lay out
+// a presized buffer instead of appending.
+inline void StoreUint32LE(char* out, uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+inline void StoreUint64LE(char* out, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
 }  // namespace lockdoc
 
 #endif  // SRC_UTIL_VARINT_H_

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/vfs/vfs_kernel.h"
+#include "src/workload/workloads.h"
 #include "tests/core/test_helpers.h"
 
 namespace lockdoc {
@@ -254,12 +256,9 @@ TEST(SnapshotTest, RepairedSnapshotMissingATableFailsTyped) {
   }
 }
 
-// The lazy-CRC contract of the v2 zero-copy load: by default every payload
-// CRC is verified (a flipped padding byte — which no decoder ever reads —
-// must still fail the load), and only an explicit verify_payload_crcs=false
-// opt-out defers table CRCs, in which case the analysis still comes out
-// identical because padding bytes carry no data.
-TEST(SnapshotTest, V2DefaultLoadVerifiesPayloadsLazyLoadDefersThem) {
+// The v2 zero-copy load verifies every payload CRC: a flipped padding byte
+// — which no decoder ever reads — must still fail the load.
+TEST(SnapshotTest, V2LoadVerifiesPaddedPayloadCrcs) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
   std::string bytes = SerializeSnapshot(snapshot, *world.registry);
@@ -280,49 +279,62 @@ TEST(SnapshotTest, V2DefaultLoadVerifiesPayloadsLazyLoadDefersThem) {
   ASSERT_NE(victim, 0u) << "no padded table section in the fixture";
   bytes[victim] ^= 0x5A;
 
-  std::string path = ::testing::TempDir() + "/snapshot_test_lazy_crc.lockdb";
+  std::string path = ::testing::TempDir() + "/snapshot_test_padded_crc.lockdb";
   {
     std::ofstream out(path, std::ios::binary);
     out << bytes;
   }
-  auto strict = LoadSnapshot(path, *world.registry);
-  EXPECT_FALSE(strict.ok()) << "default load must verify padded payload CRCs";
-
-  SnapshotLoadOptions trusting;
-  trusting.verify_payload_crcs = false;
-  auto lazy = LoadSnapshot(path, *world.registry, trusting);
-  ASSERT_TRUE(lazy.ok()) << lazy.status().message();
-  ExpectSameRules(AnalyzeSnapshot(lazy.value()), AnalyzeSnapshot(snapshot));
+  auto loaded = LoadSnapshot(path, *world.registry);
+  EXPECT_FALSE(loaded.ok()) << "the load must verify padded payload CRCs";
+  EXPECT_FALSE(DeserializeSnapshot(bytes, *world.registry).ok());
   std::filesystem::remove(path);
 }
 
 // BuildAndSaveSnapshot overlaps the head-section disk write with
-// observation extraction, but the bytes on disk must be exactly what the
-// serial build-then-serialize path produces — at any job count and for both
-// container versions.
+// observation extraction and frames sections straight into the file, but
+// the bytes on disk must be exactly what the serial build-then-serialize
+// path produces — at any job count, for both container versions, on the
+// little fixture world and on an mm world (range locks and range tables).
 TEST(SnapshotTest, BuildAndSaveSnapshotMatchesSerialBytesAtAnyJobCount) {
   TestWorld world = MakeWorld();
-  AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-    SnapshotWriteOptions write_options;
-    write_options.container_version = version;
-    const std::string expected = SerializeSnapshot(snapshot, *world.registry, write_options);
-    for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
-      PipelineOptions options;
-      options.jobs = jobs;
-      std::string path = ::testing::TempDir() + "/snapshot_test_build_save_v" +
-                         std::to_string(version) + "_j" + std::to_string(jobs) + ".lockdb";
-      auto built =
-          BuildAndSaveSnapshot(world.trace, *world.registry, options, write_options, path);
-      ASSERT_TRUE(built.ok()) << built.status().message();
-      std::ifstream in(path, std::ios::binary);
-      ASSERT_TRUE(in.is_open()) << path;
-      std::ostringstream actual;
-      actual << in.rdbuf();
-      EXPECT_EQ(actual.str(), expected)
-          << "v" << version << " jobs=" << jobs << " diverged from the serial bytes";
-      ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
-      std::filesystem::remove(path);
+  MixOptions mix;
+  mix.ops = 1500;
+  mix.seed = 11;
+  SimulationResult mm = SimulateMmRun(mix, FaultPlan{});
+  PipelineOptions mm_options;
+  mm_options.filter = VfsKernel::MakeFilterConfig();
+  struct Input {
+    const char* name;
+    const Trace* trace;
+    const TypeRegistry* registry;
+    PipelineOptions options;
+  };
+  for (const Input& input : {Input{"world", &world.trace, world.registry.get(), {}},
+                             Input{"mm", &mm.trace, mm.registry.get(), mm_options}}) {
+    AnalysisSnapshot snapshot = BuildSnapshot(*input.trace, *input.registry, input.options);
+    for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
+      SnapshotWriteOptions write_options;
+      write_options.container_version = version;
+      const std::string expected = SerializeSnapshot(snapshot, *input.registry, write_options);
+      for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
+        PipelineOptions options = input.options;
+        options.jobs = jobs;
+        std::string path = ::testing::TempDir() + "/snapshot_test_build_save_" + input.name +
+                           "_v" + std::to_string(version) + "_j" + std::to_string(jobs) +
+                           ".lockdb";
+        auto built =
+            BuildAndSaveSnapshot(*input.trace, *input.registry, options, write_options, path);
+        ASSERT_TRUE(built.ok()) << built.status().message();
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.is_open()) << path;
+        std::ostringstream actual;
+        actual << in.rdbuf();
+        EXPECT_TRUE(actual.str() == expected)
+            << input.name << " v" << version << " jobs=" << jobs
+            << " diverged from the serial bytes";
+        ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
+        std::filesystem::remove(path);
+      }
     }
   }
 }

@@ -222,6 +222,43 @@ TEST(SnapshotContainerTest, OversizedSectionFailsWithTypedError) {
   EXPECT_FALSE(v2.Finish().ok());
 }
 
+// A streaming writer frames exactly the bytes the buffering one returns —
+// a payload given in pieces is checksummed where it lies — and a sink error
+// is sticky: nothing reaches the sink after it, and Finish returns it.
+TEST(SnapshotContainerTest, StreamedFramesMatchBufferedAndSinkErrorsStick) {
+  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
+    SnapshotWriter buffered(version);
+    buffered.AddSection(kSnapshotSectionMeta, "meta-payload");
+    buffered.AddSection(kSnapshotSectionTable, "head|column-a|column-b|");
+    std::string expected = buffered.Finish().value();
+
+    std::string streamed;
+    SnapshotWriter writer(version, [&](std::string_view bytes) {
+      streamed.append(bytes);
+      return Status::Ok();
+    });
+    writer.AddSection(kSnapshotSectionMeta, "meta-payload");
+    writer.AddSection(kSnapshotSectionTable, std::vector<std::string_view>{
+                                                 "head|", "", "column-a|", "column-b|"});
+    auto finished = writer.Finish();
+    ASSERT_TRUE(finished.ok()) << finished.status().message();
+    EXPECT_TRUE(finished.value().empty());
+    EXPECT_EQ(streamed, expected) << "v" << version;
+    EXPECT_EQ(writer.bytes_written(), expected.size());
+
+    int calls = 0;
+    SnapshotWriter failing(version, [&](std::string_view) {
+      return ++calls == 3 ? Status::Error("disk full") : Status::Ok();
+    });
+    failing.AddSection(kSnapshotSectionMeta, "meta-payload");
+    failing.AddSection(kSnapshotSectionTable, "table-payload");
+    auto failed = failing.Finish();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().message(), "disk full");
+    EXPECT_EQ(calls, 3) << "v" << version << ": the sink was called after its error";
+  }
+}
+
 TEST(SnapshotContainerTest, CorruptV1LengthIsClampedAndLaterFramesSurvive) {
   std::string bytes = TinySnapshot();
   auto sections = ScanSnapshotSections(bytes);

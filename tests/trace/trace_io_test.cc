@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "src/core/clock_example.h"
+#include "src/util/crc32.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
+#include "src/util/varint.h"
 
 namespace lockdoc {
 namespace {
@@ -372,6 +375,115 @@ TEST(TraceIoTest, SalvageSurvivesStringTableLoss) {
   EXPECT_EQ(salvaged.value().size(), original.size());
   const TraceEvent& e = salvaged.value().event(0);
   EXPECT_NO_FATAL_FAILURE((void)salvaged.value().String(e.name));
+}
+
+// The strict v2 reader decodes every event frame straight into its slice of
+// the trace's event array; at any thread count the trace is the serial one,
+// seq numbers included.
+TEST(TraceIoTest, ParallelInPlaceDecodeMatchesSerial) {
+  Trace original = MakeLargerTrace(4);
+  std::ostringstream out;
+  WriteTrace(original, out);
+  const std::string bytes = out.str();
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    ThreadPool pool(threads);
+    TraceReadOptions options;
+    options.pool = &pool;
+    TraceReadReport report;
+    auto restored = ReadTraceFromBytes(bytes, options, &report);
+    ASSERT_TRUE(restored.ok()) << restored.status().message();
+    EXPECT_TRUE(report.clean());
+    ExpectTracesEqual(original, restored.value());
+    for (size_t i = 0; i < restored.value().size(); ++i) {
+      ASSERT_EQ(restored.value().event(i).seq, i) << "threads=" << threads;
+    }
+  }
+}
+
+// Raises the leading event count of the `index`-th event frame of a v2
+// trace by one (same varint width) and re-seals the frame's CRC, so only
+// the count lies. Returns the offset just past that frame's payload.
+size_t OverstateEventFrameCount(std::string& bytes, size_t index) {
+  constexpr uint8_t kEventsFrame = 3;
+  size_t pos = 8;  // After the magic.
+  size_t seen = 0;
+  while (pos + kTraceFrameHeaderSize <= bytes.size()) {
+    const uint8_t type = static_cast<uint8_t>(bytes[pos + 4]);
+    const size_t length = LoadUint32LE(bytes.data() + pos + 9);
+    const size_t payload = pos + kTraceFrameHeaderSize;
+    if (type == kEventsFrame && seen++ == index) {
+      ByteCursor in{bytes.data(), payload + length, payload};
+      uint64_t old_count = 0;
+      EXPECT_TRUE(GetVarint(in, &old_count));
+      std::string encoded;
+      PutVarint(encoded, old_count + 1);
+      EXPECT_EQ(encoded.size(), in.pos - payload) << "count must keep its varint width";
+      bytes.replace(payload, encoded.size(), encoded);
+      std::string crc;
+      AppendUint32LE(crc, Crc32(bytes.data() + pos + sizeof(kTraceFrameMarker),
+                                kTraceFrameHeaderSize - sizeof(kTraceFrameMarker) + length));
+      bytes.replace(payload + length, crc.size(), crc);
+      return payload + length;
+    }
+    pos = payload + length + kTraceFrameTrailerSize;
+  }
+  ADD_FAILURE() << "no event frame " << index;
+  return 0;
+}
+
+std::string OffsetMessage(size_t offset, const char* what) {
+  std::ostringstream out;
+  out << "ReadTrace: offset 0x" << std::hex << offset << ": " << what;
+  return out.str();
+}
+
+// A frame whose leading count claims one event more than it holds fails at
+// the end of its payload, where the missing event would start — the count
+// sizes the frame's slice of the event array but is never trusted past the
+// bytes that are there.
+TEST(TraceIoTest, StrictRejectsEventCountBeyondFrame) {
+  Trace original = MakeLargerTrace(5);
+  std::ostringstream out;
+  WriteTrace(original, out);
+  std::string bytes = out.str();
+  const size_t frame_end = OverstateEventFrameCount(bytes, 1);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    TraceReadOptions options;
+    options.pool = &pool;
+    auto result = ReadTraceFromBytes(bytes, options, nullptr);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().message(), OffsetMessage(frame_end, "truncated or malformed event"))
+        << "threads=" << threads;
+  }
+}
+
+// Decode errors outrank reference errors, whatever their frames: a dangling
+// string reference in the first event frame loses to a malformed count in a
+// later one, exactly as the serial reader ordered them.
+TEST(TraceIoTest, StrictDecodeErrorOutranksEarlierBadReference) {
+  Trace original = MakeLargerTrace(6);
+  original.mutable_events()[5].name = 1000000;  // No such string.
+  std::ostringstream out;
+  WriteTrace(original, out);
+  std::string bytes = out.str();
+  {
+    auto reference_only = ReadTraceFromBytes(bytes, {}, nullptr);
+    ASSERT_FALSE(reference_only.ok());
+    EXPECT_NE(reference_only.status().message().find("event references unknown string"),
+              std::string::npos)
+        << reference_only.status().message();
+  }
+  const size_t frame_end = OverstateEventFrameCount(bytes, 2);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    TraceReadOptions options;
+    options.pool = &pool;
+    auto result = ReadTraceFromBytes(bytes, options, nullptr);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().message(), OffsetMessage(frame_end, "truncated or malformed event"))
+        << "threads=" << threads;
+  }
 }
 
 TEST(TraceIoTest, StrictRejectsTrailingGarbage) {
