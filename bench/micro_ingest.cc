@@ -1,9 +1,9 @@
 // Micro-benchmark for the ingest path: the overlapped parallel import
 // (trace -> .lockdb on disk) at several job counts, and the load side — the
-// v2 zero-copy mmap load vs the v1 varint deserialize vs rebuilding the
-// snapshot from the trace. The load comparison is what the v2 container
-// buys; the jobs sweep is bounded by the host's core count (a single-core
-// machine shows overhead, not speedup — see BENCH_ingest.json's context).
+// zero-copy mmap load vs rebuilding the snapshot from the trace. The load
+// comparison is what the .lockdb container buys; the jobs sweep is bounded
+// by the host's core count (a single-core machine shows overhead, not
+// speedup — see BENCH_ingest.json's context).
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -38,7 +38,6 @@ struct Fixture {
   SimulationResult sim;
   PipelineOptions options;
   std::string dir;
-  std::string v1_path;
   std::string v2_path;
   uint64_t v2_bytes = 0;
 
@@ -53,12 +52,8 @@ struct Fixture {
            ("lockdoc_bench_ingest." + std::to_string(::getpid())))
               .string();
     std::filesystem::create_directories(dir);
-    v1_path = dir + "/bench_v1.lockdb";
     v2_path = dir + "/bench_v2.lockdb";
     AnalysisSnapshot snapshot = BuildSnapshot(sim.trace, *sim.registry, options);
-    SnapshotWriteOptions v1;
-    v1.container_version = 1;
-    LOCKDOC_CHECK(SaveSnapshot(snapshot, *sim.registry, v1_path, v1).ok());
     LOCKDOC_CHECK(SaveSnapshot(snapshot, *sim.registry, v2_path).ok());
     v2_bytes = FileSize(v2_path).value();
   }
@@ -117,21 +112,7 @@ void BM_LoadV2Mmap(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadV2Mmap)->Unit(benchmark::kMillisecond);
 
-// The legacy v1 load: every varint decoded into owned storage.
-void BM_LoadV1Deserialize(benchmark::State& state) {
-  Fixture& fixture = SharedFixture();
-  Prefault(fixture.v1_path);
-  for (auto _ : state) {
-    auto snapshot = LoadSnapshot(fixture.v1_path, *fixture.sim.registry);
-    LOCKDOC_CHECK(snapshot.ok());
-    benchmark::DoNotOptimize(snapshot);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(fixture.v2_bytes));
-}
-BENCHMARK(BM_LoadV1Deserialize)->Unit(benchmark::kMillisecond);
-
-// The ceiling both loads are measured against: rebuilding the snapshot from
+// The ceiling the load is measured against: rebuilding the snapshot from
 // the trace (what every analysis paid before .lockdb existed).
 void BM_RebuildFromTrace(benchmark::State& state) {
   Fixture& fixture = SharedFixture();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Ingest benchmark harness: runs micro_ingest (overlapped parallel import at
-# jobs 1/2/8, v2 mmap load vs v1 deserialize vs rebuild-from-trace) and
+# jobs 1/2/8, mmap load vs rebuild-from-trace) and
 # writes one BENCH_ingest.json with the headline ratios. Numbers depend
 # hard on the host's core count — the JSON records num_cpus so a jobs sweep
 # from a single-core box is not mistaken for a scaling regression.
@@ -71,7 +71,6 @@ merged = {
     # Headline ratios. The load comparisons are single-threaded and
     # host-independent; the import jobs sweep is bounded by num_cpus above
     # (on one core it measures scheduling overhead, not scaling).
-    "v2_mmap_vs_v1_deserialize": ratio("BM_LoadV1Deserialize", "BM_LoadV2Mmap"),
     "v2_mmap_vs_rebuild": ratio("BM_RebuildFromTrace", "BM_LoadV2Mmap"),
     "import_jobs8_vs_jobs1": ratio("BM_ImportAndSave/1", "BM_ImportAndSave/8"),
 }
@@ -81,6 +80,6 @@ with open(out_path, "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
 print(f"bench_ingest: wrote {out_path} "
-      f"(v2 mmap vs v1 deserialize {merged['v2_mmap_vs_v1_deserialize']}x, "
+      f"(v2 mmap vs rebuild {merged['v2_mmap_vs_rebuild']}x, "
       f"jobs8 vs jobs1 import {merged['import_jobs8_vs_jobs1']}x)")
 PY

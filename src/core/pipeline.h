@@ -84,11 +84,11 @@ struct PipelineTimings {
   std::shared_ptr<std::mutex> mu_ = std::make_shared<std::mutex>();
 };
 
-// Keeps the bytes behind a zero-copy snapshot load alive: the v2 .lockdb
+// Keeps the bytes behind a zero-copy snapshot load alive: the .lockdb
 // loader attaches table columns as views into an mmap-ed file (or an
 // aligned in-memory buffer), and the AnalysisSnapshot pins the backing so
 // those views stay valid for the snapshot's lifetime. Null for snapshots
-// built from a trace or loaded from v1 files (fully owned storage).
+// built from a trace (fully owned storage).
 struct SnapshotBacking {
   virtual ~SnapshotBacking() = default;
   std::string_view bytes;

@@ -1,5 +1,6 @@
 #include "src/core/snapshot.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -74,10 +75,9 @@ bool GetStats(ByteCursor& in, Stats* stats, uint64_t Stats::*const (&fields)[N])
   return true;
 }
 
-std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_count,
-                              uint64_t format_version) {
+std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_count) {
   std::string payload;
-  PutVarint(payload, format_version);
+  PutVarint(payload, kSnapshotFormatVersionV2);
   PutStats(payload, snapshot.import_stats, kImportStatsFields);
   PutStats(payload, snapshot.trace_stats, kTraceStatsFields);
   PutVarint(payload, type_count);
@@ -85,16 +85,16 @@ std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_coun
 }
 
 Status DecodeMetaSection(std::string_view payload, const TypeRegistry& registry,
-                         uint64_t expected_version, AnalysisSnapshot* snapshot) {
+                         AnalysisSnapshot* snapshot) {
   ByteCursor in{payload.data(), payload.size(), 0};
   uint64_t version = 0;
   if (!GetVarint(in, &version)) {
     return Status::Error("snapshot meta: unreadable version");
   }
-  if (version != expected_version) {
+  if (version != kSnapshotFormatVersionV2) {
     return Status::Error(StrFormat("snapshot meta: format version %llu, this container reads %llu",
                                    static_cast<unsigned long long>(version),
-                                   static_cast<unsigned long long>(expected_version)));
+                                   static_cast<unsigned long long>(kSnapshotFormatVersionV2)));
   }
   if (!GetStats(in, &snapshot->import_stats, kImportStatsFields)) {
     return Status::Error("snapshot meta: bad import stats");
@@ -158,50 +158,7 @@ Status DecodePoolSection(std::string_view payload, LockClassPool* pool) {
   return Status::Ok();
 }
 
-std::string EncodeSeqsSection(const ObservationStore& store) {
-  std::string payload;
-  PutVarint(payload, store.distinct_seqs());
-  for (uint32_t i = 0; i < store.distinct_seqs(); ++i) {
-    const IdSeq& seq = store.id_seq(i);
-    PutVarint(payload, seq.size());
-    for (LockId id : seq) {
-      PutVarint(payload, id);
-    }
-  }
-  return payload;
-}
-
-Status DecodeSeqsSection(std::string_view payload, size_t pool_size,
-                         std::vector<IdSeq>* id_seqs) {
-  ByteCursor in{payload.data(), payload.size(), 0};
-  uint64_t count = 0;
-  if (!GetVarint(in, &count) || count > in.remaining() + 1) {
-    return Status::Error("snapshot seqs: bad sequence count");
-  }
-  id_seqs->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t length = 0;
-    if (!GetVarint(in, &length) || length > in.remaining()) {
-      return Status::Error("snapshot seqs: bad sequence length");
-    }
-    IdSeq seq;
-    seq.reserve(length);
-    for (uint64_t j = 0; j < length; ++j) {
-      uint64_t id = 0;
-      if (!GetVarint(in, &id) || id >= pool_size) {
-        return Status::Error("snapshot seqs: lock id out of range");
-      }
-      seq.push_back(static_cast<LockId>(id));
-    }
-    id_seqs->push_back(std::move(seq));
-  }
-  if (in.remaining() != 0) {
-    return Status::Error("snapshot seqs: trailing bytes");
-  }
-  return Status::Ok();
-}
-
-// v2 seqs section: columnar fixed-width arrays instead of varints —
+// Seqs section: columnar fixed-width arrays —
 //   u64 seq_count | u64 total_ids | u32 len[seq_count] | u32 ids[total_ids]
 // Decoding is a bounds-checked linear sweep with no varint branches.
 std::string EncodeSeqsSectionV2(const ObservationStore& store) {
@@ -265,92 +222,7 @@ Status DecodeSeqsSectionV2(std::string_view payload, size_t pool_size,
   return Status::Ok();
 }
 
-std::string EncodeGroupsSection(const ObservationStore& store) {
-  std::string payload;
-  PutVarint(payload, store.groups().size());
-  for (const auto& [key, groups] : store.groups()) {
-    PutVarint(payload, key.type);
-    PutVarint(payload, key.subclass);
-    PutVarint(payload, key.member);
-    PutVarint(payload, groups.size());
-    for (const ObservationGroup& group : groups) {
-      PutVarint(payload, group.lockseq_id);
-      PutVarint(payload, group.txn_id);
-      PutVarint(payload, group.alloc_id);
-      PutVarint(payload, group.n_reads);
-      PutVarint(payload, group.n_writes);
-      PutVarint(payload, group.seqs.size());
-      for (uint64_t seq : group.seqs) {
-        PutVarint(payload, seq);
-      }
-    }
-  }
-  return payload;
-}
-
-Status DecodeGroupsSection(std::string_view payload, const TypeRegistry& registry,
-                           size_t seq_count,
-                           std::map<MemberObsKey, std::vector<ObservationGroup>>* groups) {
-  ByteCursor in{payload.data(), payload.size(), 0};
-  uint64_t key_count = 0;
-  if (!GetVarint(in, &key_count) || key_count > in.remaining() + 1) {
-    return Status::Error("snapshot groups: bad key count");
-  }
-  MemberObsKey previous;
-  for (uint64_t i = 0; i < key_count; ++i) {
-    uint64_t type = 0, subclass = 0, member = 0, group_count = 0;
-    if (!GetVarint(in, &type) || !GetVarint(in, &subclass) || !GetVarint(in, &member) ||
-        !GetVarint(in, &group_count)) {
-      return Status::Error("snapshot groups: bad key");
-    }
-    MemberObsKey key;
-    key.type = static_cast<TypeId>(type);
-    key.subclass = static_cast<SubclassId>(subclass);
-    key.member = static_cast<MemberIndex>(member);
-    if (type >= registry.type_count() ||
-        member >= registry.layout(key.type).member_count()) {
-      return Status::Error("snapshot groups: key out of registry range");
-    }
-    if (i > 0 && !(previous < key)) {
-      return Status::Error("snapshot groups: keys out of order");
-    }
-    previous = key;
-    if (group_count > in.remaining()) {
-      return Status::Error("snapshot groups: bad group count");
-    }
-    std::vector<ObservationGroup> member_groups;
-    member_groups.reserve(group_count);
-    for (uint64_t g = 0; g < group_count; ++g) {
-      ObservationGroup group;
-      uint64_t lockseq = 0, n_reads = 0, n_writes = 0, seq_len = 0;
-      if (!GetVarint(in, &lockseq) || lockseq >= seq_count ||
-          !GetVarint(in, &group.txn_id) || !GetVarint(in, &group.alloc_id) ||
-          !GetVarint(in, &n_reads) || !GetVarint(in, &n_writes) ||
-          !GetVarint(in, &seq_len) || seq_len > in.remaining()) {
-        return Status::Error("snapshot groups: bad group");
-      }
-      group.lockseq_id = static_cast<uint32_t>(lockseq);
-      group.n_reads = static_cast<uint32_t>(n_reads);
-      group.n_writes = static_cast<uint32_t>(n_writes);
-      group.seqs.reserve(seq_len);
-      for (uint64_t s = 0; s < seq_len; ++s) {
-        uint64_t seq = 0;
-        if (!GetVarint(in, &seq)) {
-          return Status::Error("snapshot groups: bad access seq");
-        }
-        group.seqs.push_back(seq);
-      }
-      member_groups.push_back(std::move(group));
-    }
-    groups->emplace(key, std::move(member_groups));
-  }
-  if (in.remaining() != 0) {
-    return Status::Error("snapshot groups: trailing bytes");
-  }
-  return Status::Ok();
-}
-
-// v2 groups section: one struct-of-arrays block (all little-endian) —
+// Groups section: one struct-of-arrays block (all little-endian) —
 //   u64 key_count K | u64 group_count G | u64 seq_total S
 //   u32 type[K] | u32 subclass[K] | u32 member[K] | u32 groups_per_key[K]
 //   u32 lockseq[G] | u32 n_reads[G] | u32 n_writes[G]
@@ -409,6 +281,15 @@ std::string EncodeGroupsSectionV2(const ObservationStore& store) {
   return payload;
 }
 
+// kNoSubclass or one of `type`'s registered subclasses.
+bool IsRegisteredSubclass(const TypeRegistry& registry, TypeId type, SubclassId subclass) {
+  if (subclass == kNoSubclass) {
+    return true;
+  }
+  std::vector<SubclassId> registered = registry.SubclassesOf(type);
+  return std::find(registered.begin(), registered.end(), subclass) != registered.end();
+}
+
 Status DecodeGroupsSectionV2(std::string_view payload, const TypeRegistry& registry,
                              size_t seq_count,
                              std::map<MemberObsKey, std::vector<ObservationGroup>>* groups) {
@@ -445,7 +326,8 @@ Status DecodeGroupsSectionV2(std::string_view payload, const TypeRegistry& regis
     key.subclass = LoadUint32LE(key_subclass + 4 * i);
     key.member = LoadUint32LE(key_member + 4 * i);
     if (key.type >= registry.type_count() ||
-        key.member >= registry.layout(key.type).member_count()) {
+        key.member >= registry.layout(key.type).member_count() ||
+        !IsRegisteredSubclass(registry, key.type, key.subclass)) {
       return Status::Error("snapshot groups: key out of registry range");
     }
     if (i > 0 && !(previous < key)) {
@@ -490,9 +372,9 @@ Status DecodeGroupsSectionV2(std::string_view payload, const TypeRegistry& regis
   return Status::Ok();
 }
 
-// Owned aligned backing for in-memory v2 deserialization: std::string data
-// has no alignment guarantee, so the bytes are copied once into a
-// uint64-aligned buffer the views can point into.
+// Owned aligned backing for in-memory deserialization: std::string data has
+// no alignment guarantee, so the bytes are copied once into a uint64-aligned
+// buffer the views can point into.
 struct OwnedBacking : SnapshotBacking {
   std::unique_ptr<uint64_t[]> buffer;
 };
@@ -502,11 +384,10 @@ struct MappedBacking : SnapshotBacking {
   MappedFile file;
 };
 
-// Shared decode across container versions; `backing` is non-null when
-// numeric table columns may be attached as views into `bytes`.
+// The shared decode of both loaders. `backing` holds `bytes`, so numeric
+// table columns are attached as views into them.
 Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegistry& registry,
                                          std::shared_ptr<const SnapshotBacking> backing) {
-  uint64_t container_version = SnapshotContainerVersion(bytes);
   // Every payload CRC is verified: no consumer computes on corrupt bytes.
   Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes);
   if (!scan.ok()) {
@@ -523,8 +404,6 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
       sections.push_back(section);
     }
   }
-  const bool v2 = container_version == 2;
-  const uint64_t meta_version = v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion;
 
   // Enforce the fixed section order: meta, strings, table*, pool, seqs,
   // groups.
@@ -532,7 +411,7 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
     return Status::Error("snapshot: missing meta section");
   }
   AnalysisSnapshot snapshot;
-  Status status = DecodeMetaSection(sections[0].payload, registry, meta_version, &snapshot);
+  Status status = DecodeMetaSection(sections[0].payload, registry, &snapshot);
   if (!status.ok()) {
     return status;
   }
@@ -545,9 +424,7 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
   }
   size_t index = 2;
   while (index < sections.size() && sections[index].type == kSnapshotSectionTable) {
-    status = v2 ? DecodeTableSectionV2(sections[index].payload,
-                                       /*zero_copy=*/backing != nullptr, &snapshot.db)
-                : DecodeTableSection(sections[index].payload, &snapshot.db);
+    status = DecodeTableSectionV2(sections[index].payload, &snapshot.db);
     if (!status.ok()) {
       return status;
     }
@@ -573,16 +450,12 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
     return status;
   }
   std::vector<IdSeq> id_seqs;
-  status = v2 ? DecodeSeqsSectionV2(sections[index + 1].payload, pool.size(), &id_seqs)
-              : DecodeSeqsSection(sections[index + 1].payload, pool.size(), &id_seqs);
+  status = DecodeSeqsSectionV2(sections[index + 1].payload, pool.size(), &id_seqs);
   if (!status.ok()) {
     return status;
   }
   std::map<MemberObsKey, std::vector<ObservationGroup>> groups;
-  status = v2 ? DecodeGroupsSectionV2(sections[index + 2].payload, registry, id_seqs.size(),
-                                      &groups)
-              : DecodeGroupsSection(sections[index + 2].payload, registry, id_seqs.size(),
-                                    &groups);
+  status = DecodeGroupsSectionV2(sections[index + 2].payload, registry, id_seqs.size(), &groups);
   if (!status.ok()) {
     return status;
   }
@@ -594,11 +467,9 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
 
 // Meta, strings and one table section per database table, in name order:
 // everything the import fixes before observations are extracted.
-void AddHeadSections(const AnalysisSnapshot& snapshot, const TypeRegistry& registry, bool v2,
+void AddHeadSections(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
                      SnapshotWriter& writer) {
-  writer.AddSection(kSnapshotSectionMeta,
-                    EncodeMetaSection(snapshot, registry.type_count(),
-                                      v2 ? kSnapshotFormatVersionV2 : kSnapshotFormatVersion));
+  writer.AddSection(kSnapshotSectionMeta, EncodeMetaSection(snapshot, registry.type_count()));
   writer.AddSection(kSnapshotSectionStrings, EncodeStringsSection(snapshot.db.strings()));
   for (const std::string& name : snapshot.db.TableNames()) {
     writer.AddTableSection(snapshot.db.table(name));
@@ -606,26 +477,19 @@ void AddHeadSections(const AnalysisSnapshot& snapshot, const TypeRegistry& regis
 }
 
 // Pool, seqs and groups: the sections that depend on extraction.
-void AddObservationSections(const ObservationStore& store, bool v2, SnapshotWriter& writer) {
+void AddObservationSections(const ObservationStore& store, SnapshotWriter& writer) {
   writer.AddSection(kSnapshotSectionPool, EncodePoolSection(store.pool()));
-  writer.AddSection(kSnapshotSectionSeqs,
-                    v2 ? EncodeSeqsSectionV2(store) : EncodeSeqsSection(store));
-  writer.AddSection(kSnapshotSectionGroups,
-                    v2 ? EncodeGroupsSectionV2(store) : EncodeGroupsSection(store));
+  writer.AddSection(kSnapshotSectionSeqs, EncodeSeqsSectionV2(store));
+  writer.AddSection(kSnapshotSectionGroups, EncodeGroupsSectionV2(store));
 }
 
 }  // namespace
 
-Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
-                                           const TypeRegistry& registry,
-                                           const SnapshotWriteOptions& options) {
-  LOCKDOC_CHECK(options.container_version == 1 || options.container_version == 2);
-  const bool v2 = options.container_version == 2;
-  SnapshotWriter writer(options.container_version);
-  // One allocation for the whole file: the tables' u64 columns bound their
-  // sections (v2 stores them as is, v1's varints are rarely longer), plus
-  // the string pool, the observation payloads and headroom for the small
-  // sections.
+std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry) {
+  SnapshotWriter writer;
+  // One allocation for the whole file: the tables' u64 columns, stored as
+  // is, plus the string pool, the observation payloads and headroom for the
+  // small sections.
   size_t estimate = 1 << 16;
   for (const std::string& text : snapshot.db.strings().strings()) {
     estimate += text.size() + 10;
@@ -640,25 +504,15 @@ Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
     }
   }
   writer.Reserve(estimate);
-  AddHeadSections(snapshot, registry, v2, writer);
-  AddObservationSections(snapshot.observations, v2, writer);
-  return writer.Finish();
-}
-
-std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                              const SnapshotWriteOptions& options) {
-  Result<std::string> bytes = SerializeSnapshotBytes(snapshot, registry, options);
-  LOCKDOC_CHECK(bytes.ok());
-  return std::move(bytes).value();
+  AddHeadSections(snapshot, registry, writer);
+  AddObservationSections(snapshot.observations, writer);
+  return writer.Finish().value();  // A buffering writer cannot fail.
 }
 
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
                                              const TypeRegistry& registry) {
-  if (SnapshotContainerVersion(bytes) != 2) {
-    return DeserializeImpl(bytes, registry, nullptr);
-  }
-  // v2 numeric columns view into the container bytes; copy them once into
-  // an aligned owned buffer the snapshot keeps alive (a caller's
+  // Numeric columns view into the container bytes; copy them once into an
+  // aligned owned buffer the snapshot keeps alive (a caller's
   // std::string has no alignment guarantee and no pinned lifetime).
   auto backing = std::make_shared<OwnedBacking>();
   backing->buffer = std::make_unique<uint64_t[]>((bytes.size() + 7) / 8);
@@ -679,10 +533,8 @@ Result<uint64_t> PeekSnapshotTypeCount(const std::string& path) {
 }
 
 Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
-  SnapshotScanMode mode = SnapshotContainerVersion(bytes) == 2
-                              ? SnapshotScanMode::kVerifyHeaders
-                              : SnapshotScanMode::kVerifyAll;
-  Result<std::vector<SnapshotSection>> scan = ScanSnapshotSections(bytes, mode);
+  Result<std::vector<SnapshotSection>> scan =
+      ScanSnapshotSections(bytes, SnapshotScanMode::kVerifyHeaders);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -706,11 +558,9 @@ Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
 
 Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegistry& registry,
                                               const PipelineOptions& options,
-                                              const SnapshotWriteOptions& write_options,
+                                              const SnapshotWriteOptions& /*write_options*/,
                                               const std::string& path,
                                               PipelineTimings* timings) {
-  LOCKDOC_CHECK(write_options.container_version == 1 || write_options.container_version == 2);
-  const bool v2 = write_options.container_version == 2;
   using Clock = std::chrono::steady_clock;
   auto seconds = [](Clock::time_point from, Clock::time_point to) {
     return std::chrono::duration<double>(to - from).count();
@@ -742,7 +592,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   // fsync finds most pages on their way to disk.
   constexpr uint64_t kHintBytes = 8 << 20;
   uint64_t hinted = 0;
-  SnapshotWriter writer(write_options.container_version, [&](std::string_view bytes) {
+  SnapshotWriter writer([&](std::string_view bytes) {
     Status status = file.Append(bytes);
     if (status.ok() && file.bytes_written() - hinted >= kHintBytes) {
       file.FlushHint();
@@ -758,7 +608,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   // only reads it, so the two proceed without synchronization beyond the
   // join below. With one job the contract is a strictly serial pipeline;
   // the overlap is only taken when the caller asked for parallelism.
-  auto write_head = [&] { AddHeadSections(snapshot, registry, v2, writer); };
+  auto write_head = [&] { AddHeadSections(snapshot, registry, writer); };
   const bool overlap = pool.thread_count() > 1;
   std::thread head_thread;
   if (overlap) {
@@ -777,7 +627,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   } else {
     write_head();
   }
-  AddObservationSections(snapshot.observations, v2, writer);
+  AddObservationSections(snapshot.observations, writer);
   Result<std::string> finished = writer.Finish();
   if (!finished.ok()) {
     file.Abort();  // No-op when a failed Append already removed the temp file.
@@ -797,15 +647,11 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
 }
 
 Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                    const std::string& path, const SnapshotWriteOptions& options) {
+                    const std::string& path) {
   // Atomic (temp + fsync + rename): a crash mid-save leaves the previous
   // snapshot intact instead of a half-written .lockdb the checksums would
   // then reject.
-  Result<std::string> bytes = SerializeSnapshotBytes(snapshot, registry, options);
-  if (!bytes.ok()) {
-    return bytes.status();
-  }
-  return WriteFileAtomic(path, bytes.value());
+  return WriteFileAtomic(path, SerializeSnapshot(snapshot, registry));
 }
 
 Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry) {
@@ -820,10 +666,6 @@ Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistr
   // The CRC sweep is about to read every page front to back; batch the
   // faults.
   backing->file.AdviseSequentialScan();
-  if (SnapshotContainerVersion(bytes) != 2) {
-    // v1 decodes into owned storage; the mapping is released on return.
-    return DeserializeImpl(bytes, registry, nullptr);
-  }
   return DeserializeImpl(bytes, registry, std::move(backing));
 }
 

@@ -7,17 +7,14 @@
 // table in name order, pool, seqs, groups, end — and every payload is
 // emitted from deterministically-ordered containers, so serializing the
 // same snapshot always yields byte-identical files regardless of the thread
-// count that built it. SerializeSnapshotBytes and BuildAndSaveSnapshot frame
-// the sections with the same code (SnapshotWriter): one into a string, the
+// count that built it. SerializeSnapshot and BuildAndSaveSnapshot frame the
+// sections with the same code (SnapshotWriter): one into a string, the
 // other straight into the file, so their bytes match by construction.
 //
-// Two container versions are written and read (docs/lockdb-format.md):
-// v1 keeps the original varint payloads; v2 (the default) lays out numeric
-// table columns and the observation id-sequences/groups as fixed-width
-// little-endian arrays, 8-byte aligned, so LoadSnapshot can mmap the file
-// and attach table columns as in-place views (zero-copy) instead of
-// decoding them. DeserializeSnapshot falls back to the owned-copy path for
-// v1 files automatically.
+// The container (docs/lockdb-format.md) lays out numeric table columns and
+// the observation id-sequences/groups as fixed-width little-endian arrays,
+// 8-byte aligned, so LoadSnapshot can mmap the file and attach table
+// columns as in-place views (zero-copy) instead of decoding them.
 #ifndef SRC_CORE_SNAPSHOT_H_
 #define SRC_CORE_SNAPSHOT_H_
 
@@ -31,31 +28,21 @@
 
 namespace lockdoc {
 
-struct SnapshotWriteOptions {
-  // 2 writes the zero-copy columnar container, 1 the legacy varint one.
-  uint64_t container_version = 2;
-};
+// No fields: the container has one version. Kept so that callers of
+// BuildAndSaveSnapshot passing `SnapshotWriteOptions{}` (the benchmark
+// runner, perfbench/trace_run.cc) still build.
+struct SnapshotWriteOptions {};
 
 // Snapshot -> .lockdb bytes. `registry` is the registry the snapshot was
-// built with; its type count is recorded in the meta section. Fails with a
-// typed error if a section exceeds its container's payload cap (satellite
-// of the 32-bit v1 length field).
-Result<std::string> SerializeSnapshotBytes(const AnalysisSnapshot& snapshot,
-                                           const TypeRegistry& registry,
-                                           const SnapshotWriteOptions& options = {});
+// built with; its type count is recorded in the meta section.
+std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry);
 
-// Convenience wrapper that CHECK-fails on serialization errors; real
-// snapshots sit far below the caps, so callers that just persist a freshly
-// built snapshot use this.
-std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                              const SnapshotWriteOptions& options = {});
-
-// .lockdb bytes -> snapshot (either container version). `registry` must be
-// the registry the snapshot was built with; its type count is verified
-// against the meta section (a snapshot is only meaningful against its own
-// registry). v2 bytes are copied once into an aligned owned buffer so
-// numeric table columns can be viewed in place; use LoadSnapshot to map a
-// file without that copy.
+// .lockdb bytes -> snapshot. `registry` must be the registry the snapshot
+// was built with; its type count is verified against the meta section (a
+// snapshot is only meaningful against its own registry). The bytes are
+// copied once into an aligned owned buffer so numeric table columns can be
+// viewed in place; use LoadSnapshot to map a file without that copy. A v1
+// container is a typed error.
 Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
                                              const TypeRegistry& registry);
 
@@ -85,12 +72,10 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
                                               PipelineTimings* timings = nullptr);
 
 // File conveniences. SaveSnapshot writes atomically (temp + fsync +
-// rename). LoadSnapshot mmaps the file: for v2 containers the mapping
-// becomes the snapshot's backing and numeric columns are zero-copy views
-// into it; v1 containers decode into owned storage and the mapping is
-// released before returning.
+// rename). LoadSnapshot mmaps the file: the mapping becomes the snapshot's
+// backing and numeric columns are zero-copy views into it.
 Status SaveSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
-                    const std::string& path, const SnapshotWriteOptions& options = {});
+                    const std::string& path);
 Result<AnalysisSnapshot> LoadSnapshot(const std::string& path, const TypeRegistry& registry);
 
 }  // namespace lockdoc

@@ -3,24 +3,11 @@
 // imported ONCE and analyzed many times (the paper keeps its MariaDB
 // instance around for the same reason, Sec. 5.3).
 //
-// Two container versions exist (full spec: docs/lockdb-format.md):
-//
-// v1 ("LOCKDB01") mirrors the framed v2 trace format with its own magic and
-// frame marker:
-//
-//   magic "LOCKDB01" (8 bytes)
-//   section*:  marker {0xAB,'L','D',0xF3} | type (1) | seq (4 LE)
-//              | length (4 LE) | payload | crc32 (4 LE)
-//   end section (type kSnapshotSectionEnd, payload = varint section count)
-//
-// The CRC covers everything after the marker (type, seq, length, payload),
-// so every section is independently verifiable and corruption is localized
-// — `lockdoc doctor` reports per-section damage.
-//
-// v2 ("LOCKDB02") is the zero-copy layout: every frame starts at an
-// 8-byte-aligned offset, headers are fixed 32-byte blocks with explicit
-// 64-bit payload lengths, and the payload CRC is stored in the header so a
-// loader can map the file and defer payload checksumming:
+// The layout ("LOCKDB02", full spec: docs/lockdb-format.md) is zero-copy:
+// every frame starts at an 8-byte-aligned offset, headers are fixed 32-byte
+// blocks with explicit 64-bit payload lengths, and the payload CRC is stored
+// in the header so a loader can map the file and defer payload
+// checksumming:
 //
 //   magic "LOCKDB02" (8 bytes)
 //   frame*: marker {0xAB,'L','D',0xF3} | type (1) | pad (3 zero)
@@ -30,12 +17,13 @@
 //           | payload, zero-padded to a multiple of 8
 //   end frame (type kSnapshotSectionEnd, payload = u64 LE section count)
 //
-// Header CRCs are always verified; payload CRCs are verified eagerly by
-// doctor/repair and lazily by the load path (sections that are decoded into
-// memory verify before decoding, mmap-viewed sections are left to doctor).
-// Sections are written in a fixed deterministic order by
+// Every section is independently verifiable and corruption is localized —
+// `lockdoc doctor` reports per-section damage. Header CRCs are always
+// verified; payload CRCs are verified eagerly by doctor/repair and by the
+// load path. Sections are written in a fixed deterministic order by
 // src/core/snapshot.cc; a snapshot's bytes are identical no matter how many
-// threads built the analysis.
+// threads built the analysis. The retired v1 container ("LOCKDB01") is
+// recognized only to be rejected with a typed error.
 //
 // This layer knows containers and the db-level payloads (string pool,
 // tables); the analysis-level payloads (lock-class pool, interned
@@ -56,32 +44,23 @@
 
 namespace lockdoc {
 
-constexpr char kSnapshotMagic[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '1'};
 constexpr char kSnapshotMagicV2[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '2'};
 constexpr uint8_t kSnapshotFrameMarker[4] = {0xAB, 'L', 'D', 0xF3};
-// v1: marker + type + seq + length.
-constexpr size_t kSnapshotFrameHeaderSize = 4 + 1 + 4 + 4;
-constexpr size_t kSnapshotFrameTrailerSize = 4;  // crc32
-// v2: marker + type + pad3 + seq + length64 + payload_crc + pad4 + header_crc.
+// marker + type + pad3 + seq + length64 + payload_crc + pad4 + header_crc.
 constexpr size_t kSnapshotV2FrameHeaderSize = 32;
-// Offsets into a v2 frame header (from the marker).
+// Offsets into a frame header (from the marker).
 constexpr size_t kSnapshotV2TypeOffset = 4;
 constexpr size_t kSnapshotV2SeqOffset = 8;
 constexpr size_t kSnapshotV2LengthOffset = 12;
 constexpr size_t kSnapshotV2PayloadCrcOffset = 20;
 constexpr size_t kSnapshotV2HeaderCrcOffset = 28;
-// v2 payloads are zero-padded to the next 8-byte boundary so every frame
+// Payloads are zero-padded to the next 8-byte boundary so every frame
 // header (and the numeric column data inside table payloads) stays 8-aligned
 // in the mapped file.
 constexpr uint64_t PaddedPayloadSize(uint64_t length) { return (length + 7) & ~uint64_t{7}; }
-// Payload format versions carried in the meta section; each container
-// version pins the matching payload version.
-constexpr uint64_t kSnapshotFormatVersion = 1;
+// Payload format version carried in the meta section, pinned by the
+// container magic.
 constexpr uint64_t kSnapshotFormatVersionV2 = 2;
-// v1 sections are capped (the length field is 32-bit and corrupt lengths
-// must not drive allocations); v2 lengths are 64-bit and only bounded by
-// the file size.
-constexpr uint64_t kMaxSnapshotSectionPayloadV1 = 1ull << 30;
 
 enum SnapshotSectionType : uint8_t {
   kSnapshotSectionMeta = 1,     // Version, import/trace stats, registry shape.
@@ -102,9 +81,9 @@ struct SnapshotSection {
   uint32_t seq = 0;
   std::string_view payload;  // Unpadded payload bytes.
   uint64_t offset = 0;       // Of the frame marker in the file.
-  // v2 bookkeeping for deferred payload verification: the CRC domain
-  // (payload incl. zero padding), the stored CRC, and whether the scan
-  // already checked it. v1 sections always scan with crc_checked == true.
+  // Bookkeeping for deferred payload verification: the CRC domain (payload
+  // incl. zero padding), the stored CRC, and whether the scan already
+  // checked it.
   std::string_view padded_payload;
   uint32_t payload_crc = 0;
   bool crc_checked = true;
@@ -123,26 +102,18 @@ using SnapshotSink = std::function<Status(std::string_view bytes)>;
 // into an in-memory buffer that Finish returns, or to a sink. A payload can
 // be given in pieces, which are checksummed and emitted in place without
 // being joined, so a table section goes out straight from column memory.
-// An oversized payload or a sink error poisons the writer with a typed
-// error (sticky: later sections are ignored and Finish returns it) instead
-// of silently truncating the 32-bit v1 length.
+// A sink error poisons the writer (sticky: later sections are ignored and
+// Finish returns it); a buffering writer cannot fail.
 class SnapshotWriter {
  public:
-  // Buffers the file in memory. `container_version` is 1 or 2.
-  // `max_section_payload` overrides the version's payload cap — tests
-  // inject a tiny cap to exercise the overflow guard without materializing
-  // gigabyte payloads; 0 keeps the default (v1: kMaxSnapshotSectionPayloadV1,
-  // v2: unbounded 64-bit).
-  explicit SnapshotWriter(uint64_t container_version = 1,
-                          uint64_t max_section_payload = 0);
-  // Streams every frame to `sink`, magic first.
-  SnapshotWriter(uint64_t container_version, SnapshotSink sink);
+  // Streams every frame to `sink`, magic first; without a sink, buffers the
+  // file in memory.
+  explicit SnapshotWriter(SnapshotSink sink = nullptr);
 
   void AddSection(SnapshotSectionType type, std::string_view payload);
   // One section whose payload is the concatenation of `pieces`.
   void AddSection(SnapshotSectionType type, const std::vector<std::string_view>& pieces);
-  // A table section in this container's table payload format: v1 encodes
-  // the varint payload, v2 frames the header and the column arrays in place.
+  // A table section: the header and the column arrays framed in place.
   void AddTableSection(const Table& table);
 
   // Grows the in-memory buffer once instead of doubling through the adds;
@@ -159,11 +130,8 @@ class SnapshotWriter {
   uint64_t bytes_written() const { return written_; }
 
  private:
-  SnapshotWriter(uint64_t container_version, uint64_t max_section_payload, SnapshotSink sink);
   void Emit(std::string_view bytes);
 
-  uint64_t version_ = 1;
-  uint64_t max_payload_ = 0;
   SnapshotSink sink_;  // Empty when buffering into out_.
   Status status_;
   std::string out_;
@@ -172,19 +140,18 @@ class SnapshotWriter {
 };
 
 // How much of a snapshot the strict scan checksums. kVerifyAll is the
-// doctor/ingest-validation mode; kVerifyHeaders is the zero-copy load mode
-// for v2 — frame structure and header CRCs verify, payload CRCs are
-// deferred to VerifySectionPayloadCrc (v1 has no split: its one CRC covers
-// the payload, so v1 always verifies fully).
+// doctor/load mode; kVerifyHeaders (the registry peek) checks frame
+// structure and header CRCs and defers table payload CRCs to
+// VerifySectionPayloadCrc.
 enum class SnapshotScanMode {
   kVerifyAll,
   kVerifyHeaders,
 };
 
-// Strict parse of a whole snapshot (either container version): magic,
-// structure, CRCs per `mode`, contiguous sequence numbers, and a correct
-// end section are all required. Returns the sections in file order, end
-// section excluded; payloads view into `bytes`.
+// Strict parse of a whole snapshot: magic, structure, CRCs per `mode`,
+// contiguous sequence numbers, and a correct end section are all required.
+// Returns the sections in file order, end section excluded; payloads view
+// into `bytes`.
 Result<std::vector<SnapshotSection>> ScanSnapshotSections(
     std::string_view bytes, SnapshotScanMode mode = SnapshotScanMode::kVerifyAll);
 
@@ -207,8 +174,7 @@ struct SnapshotSectionReport {
 
 struct SnapshotInspection {
   uint64_t file_size = 0;
-  uint64_t container_version = 0;  // 1, 2, or 0 when the magic is bad.
-  bool magic_ok = false;
+  bool magic_ok = false;  // LOCKDB02; a v1 container is not readable.
   std::vector<SnapshotSectionReport> sections;
   bool end_ok = false;           // Intact end section with a correct count.
   uint64_t declared_sections = 0;  // From the end section when readable.
@@ -230,8 +196,7 @@ SnapshotInspection InspectSnapshot(std::string_view bytes);
 // Container-level repair (`lockdoc doctor FILE.lockdb --repair OUT`): walks
 // the damaged container like InspectSnapshot, keeps every section whose CRC
 // verifies, and re-emits them in file order with fresh contiguous sequence
-// numbers, CRCs, and end section — in the same container version the input
-// declared. The result is always a *structurally* clean container; whether
+// numbers, CRCs, and end section. The result is always a *structurally* clean container; whether
 // it still loads depends on which sections survived (a dropped meta or
 // strings section is fatal to payload decoding, a dropped table section is
 // not). Mirrors the trace doctor's --repair, which re-writes the salvaged
@@ -249,37 +214,35 @@ struct SnapshotRepairResult {
 SnapshotRepairResult RepairSnapshotBytes(std::string_view bytes);
 
 // Magic sniffers so CLI commands accept a trace or a snapshot and decide by
-// content, not file extension. Both container versions match.
+// content, not file extension. The retired v1 magic matches too, so a v1
+// file reaches the snapshot reader and its typed rejection, never the trace
+// reader.
 bool LooksLikeSnapshot(std::string_view bytes);
-// 1, 2, or 0 when `bytes` does not start with a .lockdb magic.
-uint64_t SnapshotContainerVersion(std::string_view bytes);
 // Reads just the first bytes of `path`; false on unreadable files.
 bool IsSnapshotFile(const std::string& path);
+// Ok() when `bytes` starts with the LOCKDB02 magic. Otherwise the typed
+// error: a v1 container (re-run `lockdoc import` on its trace) or a bad
+// magic.
+Status CheckSnapshotMagic(std::string_view bytes);
 
 // --- Section payload codecs for the db layer ---
 
-// Strings section: varint count, then each string length-prefixed, id order.
-// Shared between v1 and v2 (strings are always decoded into memory).
+// Strings section: varint count, then each string length-prefixed, id order
+// (strings are always decoded into memory).
 std::string EncodeStringsSection(const StringPool& pool);
 Status DecodeStringsSection(std::string_view payload, StringPool* pool);
 
-// v1 table section: name, column definitions, indexed columns, then the
-// rows column-major (u64 varints, f64 raw 8-byte LE bits, strings
-// length-prefixed). Decoding creates the table in `db` (the name must not
-// exist yet) and declares its indexes (built lazily on first lookup).
-std::string EncodeTableSection(const Table& table);
-Status DecodeTableSection(std::string_view payload, Database* db);
-
-// v2 table section: same varint-encoded header (name, columns, indexed,
-// row count) zero-padded to an 8-byte boundary, then u64/f64 columns as raw
-// 8-byte LE arrays in column order — viewable in place when the payload is
-// 8-aligned and the host is little-endian — and string columns
-// length-prefixed at the end. SnapshotWriter::AddTableSection frames it
-// from the table's own column memory. `DecodeTableSectionV2` attaches
-// u64/f64 columns as zero-copy views into `payload` when `zero_copy` is set
-// (the caller guarantees the backing bytes outlive the database);
-// otherwise it copies.
-Status DecodeTableSectionV2(std::string_view payload, bool zero_copy, Database* db);
+// Table section: a varint-encoded header (name, column definitions,
+// indexed columns, row count) zero-padded to an 8-byte boundary, then
+// u64/f64 columns as raw 8-byte LE arrays in column order — viewable in
+// place when the payload is 8-aligned and the host is little-endian — and
+// string columns length-prefixed at the end. SnapshotWriter::AddTableSection
+// frames it from the table's own column memory. `DecodeTableSectionV2`
+// creates the table in `db` (the name must not exist yet), declares its
+// indexes, and attaches u64/f64 columns as zero-copy views into `payload`
+// (the caller keeps the backing bytes alive as long as the database); a
+// payload that is not 8-aligned is copied instead.
+Status DecodeTableSectionV2(std::string_view payload, Database* db);
 
 }  // namespace lockdoc
 

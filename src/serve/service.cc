@@ -749,10 +749,10 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
         StrFormat("no snapshot named '%s' in the resident store", name.c_str());
     return;
   }
-  // Zero-copy load: v2 snapshots keep their table columns in the mapping.
-  // Payload CRCs are verified during every load — the no-wrong-answer
-  // invariant does not bend for speed, and a CRC sweep over mapped bytes is
-  // still far cheaper than a v1 decode.
+  // Zero-copy load: the snapshot keeps its table columns in the mapping,
+  // which is what the resident store charges. Payload CRCs are verified
+  // during every load — the no-wrong-answer invariant does not bend for
+  // speed.
   const TypeRegistry* registry = registry_;
   if (extended_registry_ != nullptr) {
     auto type_count = PeekSnapshotTypeCount(path);
@@ -770,12 +770,7 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
   }
   resident->registry = registry;
   resident->snapshot = std::make_shared<AnalysisSnapshot>(std::move(snapshot.value()));
-  if (resident->snapshot->backing != nullptr) {
-    resident->bytes = resident->snapshot->backing->bytes.size();
-  } else {
-    auto size = FileSize(path);
-    resident->bytes = size.ok() ? size.value() : 0;
-  }
+  resident->bytes = resident->snapshot->backing->bytes.size();
 
   std::lock_guard<std::mutex> lock(store_mu_);
   resident->load_ok = true;

@@ -2,14 +2,11 @@
 
 #include <array>
 #include <cstring>
-#include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define LOCKDOC_CRC32_PCLMUL 1
 #include <immintrin.h>
 #endif
-
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 namespace {
@@ -37,29 +34,6 @@ constexpr std::array<std::array<uint32_t, 256>, 8> MakeTables() {
 }
 
 constexpr std::array<std::array<uint32_t, 256>, 8> kTables = MakeTables();
-
-// --- GF(2) matrix helpers for Crc32Combine (the zlib algorithm). ---
-// A matrix is 32 column vectors; Times applies it to a state vector.
-
-using Gf2Matrix = std::array<uint32_t, 32>;
-
-uint32_t Gf2Times(const Gf2Matrix& m, uint32_t vec) {
-  uint32_t sum = 0;
-  for (size_t i = 0; vec != 0; vec >>= 1, ++i) {
-    if (vec & 1) {
-      sum ^= m[i];
-    }
-  }
-  return sum;
-}
-
-Gf2Matrix Gf2Square(const Gf2Matrix& m) {
-  Gf2Matrix sq;
-  for (size_t i = 0; i < 32; ++i) {
-    sq[i] = Gf2Times(m, m[i]);
-  }
-  return sq;
-}
 
 #ifdef LOCKDOC_CRC32_PCLMUL
 
@@ -180,63 +154,6 @@ uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
     --size;
   }
   return ~crc;
-}
-
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
-  if (len_b == 0) {
-    return crc_a;
-  }
-  // odd = the "advance one zero bit" operator.
-  Gf2Matrix odd;
-  odd[0] = kPolynomial;
-  for (size_t i = 1; i < 32; ++i) {
-    odd[i] = 1u << (i - 1);
-  }
-  Gf2Matrix even = Gf2Square(odd);  // Two zero bits.
-  odd = Gf2Square(even);            // Four zero bits.
-  // Advance crc_a through len_b zero *bytes*, squaring as len_b sheds bits.
-  uint32_t crc = crc_a;
-  uint64_t len = len_b;
-  do {
-    even = Gf2Square(odd);
-    if (len & 1) {
-      crc = Gf2Times(even, crc);
-    }
-    len >>= 1;
-    if (len == 0) {
-      break;
-    }
-    odd = Gf2Square(even);
-    if (len & 1) {
-      crc = Gf2Times(odd, crc);
-    }
-    len >>= 1;
-  } while (len != 0);
-  return crc ^ crc_b;
-}
-
-uint32_t Crc32Parallel(const void* data, size_t size, ThreadPool* pool) {
-  // Below this, combine overhead beats the parallel win.
-  constexpr size_t kMinParallel = 1 << 22;
-  if (pool == nullptr || pool->thread_count() <= 1 || size < kMinParallel) {
-    return Crc32(data, size);
-  }
-  const size_t chunk = (size + pool->thread_count() - 1) / pool->thread_count();
-  const size_t chunks = (size + chunk - 1) / chunk;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  std::vector<uint32_t> partial(chunks);
-  pool->ParallelFor(chunks, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      size_t off = i * chunk;
-      partial[i] = Crc32(bytes + off, std::min(chunk, size - off));
-    }
-  });
-  uint32_t crc = partial[0];
-  for (size_t i = 1; i < chunks; ++i) {
-    size_t off = i * chunk;
-    crc = Crc32Combine(crc, partial[i], std::min(chunk, size - off));
-  }
-  return crc;
 }
 
 }  // namespace lockdoc

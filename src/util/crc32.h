@@ -10,8 +10,6 @@
 
 namespace lockdoc {
 
-class ThreadPool;
-
 // Extends a running CRC with `size` bytes. Start with `crc` = 0; the result
 // of one call feeds the next.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
@@ -23,17 +21,6 @@ inline uint32_t Crc32(const void* data, size_t size) {
 inline uint32_t Crc32(std::string_view bytes) {
   return Crc32Update(0, bytes.data(), bytes.size());
 }
-
-// Splices two independently computed CRCs: given crc_a = Crc32(A) and
-// crc_b = Crc32(B), returns Crc32(A ++ B). CRC-32 is linear over GF(2), so
-// appending `len_b` bytes multiplies the state by a fixed matrix; this runs
-// in O(log len_b) and lets disjoint chunks be checksummed concurrently.
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
-
-// Crc32(data, size) computed by fanning fixed-size chunks out over `pool`
-// and combining the partial CRCs in order. Bit-identical to the serial
-// CRC at any thread count. A null pool (or a small input) runs serially.
-uint32_t Crc32Parallel(const void* data, size_t size, ThreadPool* pool);
 
 }  // namespace lockdoc
 

@@ -70,6 +70,48 @@ expect 1 "$LOCKDOC" doctor "$DIR/mx_damaged.lockdb" --repair "$DIR/mx_repaired.l
   failures=$((failures + 1))
 }
 
+# The retired v1 container (magic LOCKDB01) is a typed error, never read as
+# a trace: analysis exits 1, doctor calls it unreadable (2) and --repair
+# writes nothing.
+printf 'LOCKDB01\253LD\363' > "$DIR/mx_v1.lockdb"
+expect 1 "$LOCKDOC" check "$DIR/mx_v1.lockdb"
+expect 1 "$LOCKDOC" stats "$DIR/mx_v1.lockdb"
+expect 2 "$LOCKDOC" doctor "$DIR/mx_v1.lockdb"
+expect 2 "$LOCKDOC" doctor "$DIR/mx_v1.lockdb" --repair "$DIR/mx_v1_repaired.lockdb"
+[ ! -e "$DIR/mx_v1_repaired.lockdb" ] || {
+  echo "FAIL: doctor --repair wrote a file for a v1 container" >&2
+  failures=$((failures + 1))
+}
+"$LOCKDOC" check "$DIR/mx_v1.lockdb" 2>&1 | grep -q 'container v1 (LOCKDB01).*lockdoc import' || {
+  echo "FAIL: a v1 container does not name itself and the re-import" >&2
+  failures=$((failures + 1))
+}
+
+# A CRC-clean snapshot whose last observation-groups key names a subclass
+# the registry lacks must fail to load (1), not abort in a pass.
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$DIR/mx.lockdb" "$DIR/mx_subclass.lockdb" <<'PY'
+import struct, sys, zlib
+data = bytearray(open(sys.argv[1], "rb").read())
+pos = 8
+while pos < len(data):
+    kind = data[pos + 4]
+    length = struct.unpack_from("<Q", data, pos + 12)[0]
+    start, padded = pos + 32, (length + 7) & ~7
+    if kind == 6:  # groups: u64 K | u64 G | u64 S | u32 type[K] | u32 subclass[K] ...
+        keys = struct.unpack_from("<Q", data, start)[0]
+        struct.pack_into("<I", data, start + 24 + 4 * keys + 4 * (keys - 1), 77)
+        struct.pack_into("<I", data, pos + 20, zlib.crc32(bytes(data[start:start + padded])))
+        struct.pack_into("<I", data, pos + 28, zlib.crc32(bytes(data[pos + 4:pos + 28])))
+    pos = start + padded
+open(sys.argv[2], "wb").write(data)
+PY
+  expect 0 "$LOCKDOC" doctor "$DIR/mx.lockdb"
+  expect 1 "$LOCKDOC" report "$DIR/mx_subclass.lockdb"
+  expect 1 "$LOCKDOC" check "$DIR/mx_subclass.lockdb"
+  expect 2 "$LOCKDOC" doctor "$DIR/mx_subclass.lockdb"
+fi
+
 # No command line at all / unknown command: usage, exit 2.
 expect 2 "$LOCKDOC"
 expect 2 "$LOCKDOC" frobnicate "$DIR/mx.trace"
@@ -87,6 +129,17 @@ expect 64 "$LOCKDOC" simulate --out "$DIR/x.trace" --salvage
 expect 64 "$LOCKDOC" import "$DIR/mx.trace" --out "$DIR/x.lockdb" --bogus-flag
 expect 64 "$LOCKDOC" doctor "$DIR/mx.trace" --jobs 2
 expect 64 "$LOCKDOC" analyze "$DIR/mx.trace" --unknown-flag 1
+# import has no container choice any more: --format is an unknown flag.
+expect 64 "$LOCKDOC" import "$DIR/mx.trace" --out "$DIR/x.lockdb" --format v1
+expect 64 "$LOCKDOC" import "$DIR/mx.trace" --out "$DIR/x.lockdb" --format v2
+
+# Strict positional arguments: one past the synopsis is exit 64.
+expect 64 "$LOCKDOC" check "$DIR/mx.trace" "$DIR/mx.lockdb"
+expect 64 "$LOCKDOC" stats "$DIR/mx.trace" "$DIR/mx.trace"
+expect 64 "$LOCKDOC" import "$DIR/mx.trace" "$DIR/mx.trace" --out "$DIR/x.lockdb"
+expect 64 "$LOCKDOC" doctor "$DIR/mx.trace" "$DIR/mx.trace"
+expect 64 "$LOCKDOC" diff "$DIR/mx.trace" "$DIR/mx.lockdb" "$DIR/mx.trace"
+expect 64 "$LOCKDOC" simulate extra --out "$DIR/x.trace"
 
 # analyze-specific usage errors.
 expect 64 "$LOCKDOC" analyze "$DIR/mx.trace" --passes bogus

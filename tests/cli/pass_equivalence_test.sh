@@ -102,20 +102,17 @@ for pass in check derive violations lock-order modes report; do
   done
 done
 
-# Cross-version equivalence: a v1 and a v2 snapshot of the same trace must
-# analyze byte-identically to the trace itself, for every pass, at any
-# thread count. (eq.lockdb above is the v2 default; import v1 explicitly.)
-"$LOCKDOC" import "$DIR/eq.trace" --out "$DIR/eq_v1.lockdb" --format v1 > /dev/null
+# Snapshot equivalence: the snapshot must analyze byte-identically to the
+# trace itself, for every pass, at any thread count.
 for pass in check derive violations lock-order modes report; do
   "$LOCKDOC" "$pass" "$DIR/eq.trace" > "$DIR/standalone.txt"
-  for input in "$DIR/eq_v1.lockdb" "$DIR/eq.lockdb"; do
-    for jobs in 1 2 8; do
-      "$LOCKDOC" analyze "$input" --passes "$pass" --jobs "$jobs" > "$DIR/via_snapshot.txt"
-      cmp "$DIR/standalone.txt" "$DIR/via_snapshot.txt" || {
-        echo "FAIL: $pass on $input differs from the trace at --jobs $jobs" >&2
-        exit 1
-      }
-    done
+  for jobs in 1 2 8; do
+    "$LOCKDOC" analyze "$DIR/eq.lockdb" --passes "$pass" --jobs "$jobs" \
+      > "$DIR/via_snapshot.txt"
+    cmp "$DIR/standalone.txt" "$DIR/via_snapshot.txt" || {
+      echo "FAIL: $pass on eq.lockdb differs from the trace at --jobs $jobs" >&2
+      exit 1
+    }
   done
 done
 

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/pipeline.h"
+#include "src/trace/corruptor.h"
+#include "src/util/varint.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 #include "tests/core/test_helpers.h"
@@ -20,10 +22,11 @@
 namespace lockdoc {
 namespace {
 
-std::string GoldenPath() { return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini.lockdb"; }
 std::string GoldenPathV2() {
   return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini_v2.lockdb";
 }
+// The MakeWorld snapshot in the retired v1 container, frozen.
+std::string LegacyV1Path() { return std::string(LOCKDOC_TESTDATA_DIR) + "/legacy_v1.lockdb"; }
 
 // A deterministic little world that populates every section: strings,
 // tables, a global and an embedded lock, and several observation groups.
@@ -98,43 +101,65 @@ TEST(SnapshotTest, ReserializationIsByteIdentical) {
   EXPECT_EQ(SerializeSnapshot(restored.value(), *world.registry), bytes);
 }
 
-// Pins the exact on-disk bytes of BOTH container versions. If this fails,
-// the format changed: bump the corresponding format version and regenerate
-// the fixtures by running this binary with LOCKDOC_REGEN_GOLDEN=1 from the
-// source tree.
+std::string ReadFixture(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << "missing fixture " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// Pins the exact on-disk bytes. If this fails, the format changed: bump the
+// format version and regenerate the fixture by running this binary with
+// LOCKDOC_REGEN_GOLDEN=1 from the source tree.
 TEST(SnapshotTest, GoldenFixtureBytesArePinned) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  SnapshotWriteOptions v1;
-  v1.container_version = 1;
-  const std::string bytes_v1 = SerializeSnapshot(snapshot, *world.registry, v1);
-  const std::string bytes_v2 = SerializeSnapshot(snapshot, *world.registry);
+  const std::string bytes = SerializeSnapshot(snapshot, *world.registry);
 
   if (std::getenv("LOCKDOC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out1(GoldenPath(), std::ios::binary);
-    ASSERT_TRUE(out1.is_open());
-    out1 << bytes_v1;
-    std::ofstream out2(GoldenPathV2(), std::ios::binary);
-    ASSERT_TRUE(out2.is_open());
-    out2 << bytes_v2;
-    GTEST_SKIP() << "regenerated " << GoldenPath() << " and " << GoldenPathV2();
+    std::ofstream out(GoldenPathV2(), std::ios::binary);
+    ASSERT_TRUE(out.is_open());
+    out << bytes;
+    GTEST_SKIP() << "regenerated " << GoldenPathV2();
   }
 
-  for (const auto& [path, bytes] :
-       {std::pair(GoldenPath(), bytes_v1), std::pair(GoldenPathV2(), bytes_v2)}) {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.is_open()) << "missing fixture " << path;
-    std::ostringstream golden;
-    golden << in.rdbuf();
-    ASSERT_EQ(bytes.size(), golden.str().size()) << path;
-    EXPECT_EQ(bytes, golden.str()) << path;
+  const std::string golden = ReadFixture(GoldenPathV2());
+  ASSERT_EQ(bytes.size(), golden.size());
+  EXPECT_EQ(bytes, golden);
+  auto restored = DeserializeSnapshot(golden, *world.registry);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ(restored.value().observations.groups().size(),
+            snapshot.observations.groups().size());
+}
 
-    auto restored = DeserializeSnapshot(golden.str(), *world.registry);
-    ASSERT_TRUE(restored.ok()) << path << ": " << restored.status().message();
-    EXPECT_EQ(restored.value().observations.groups().size(),
-              snapshot.observations.groups().size())
-        << path;
-  }
+// The retired v1 container is recognized as a snapshot — so it never
+// reaches the trace reader — and every reader rejects it with a typed error
+// that says to re-import the trace.
+TEST(SnapshotTest, LegacyV1ContainerIsATypedError) {
+  TestWorld world = MakeWorld();
+  const std::string bytes = ReadFixture(LegacyV1Path());
+  ASSERT_EQ(bytes.substr(0, 8), "LOCKDB01");
+  EXPECT_TRUE(LooksLikeSnapshot(bytes));
+  EXPECT_TRUE(IsSnapshotFile(LegacyV1Path()));
+
+  auto expect_v1_error = [](const Status& status, const char* reader) {
+    ASSERT_FALSE(status.ok()) << reader;
+    EXPECT_NE(status.message().find("container v1 (LOCKDB01)"), std::string::npos)
+        << reader << ": " << status.message();
+    EXPECT_NE(status.message().find("lockdoc import"), std::string::npos)
+        << reader << ": " << status.message();
+  };
+  expect_v1_error(CheckSnapshotMagic(bytes), "CheckSnapshotMagic");
+  expect_v1_error(ScanSnapshotSections(bytes).status(), "ScanSnapshotSections");
+  expect_v1_error(DeserializeSnapshot(bytes, *world.registry).status(), "DeserializeSnapshot");
+  expect_v1_error(LoadSnapshot(LegacyV1Path(), *world.registry).status(), "LoadSnapshot");
+  expect_v1_error(PeekSnapshotTypeCount(LegacyV1Path()).status(), "PeekSnapshotTypeCount");
+
+  EXPECT_FALSE(InspectSnapshot(bytes).magic_ok);
+  SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
+  EXPECT_FALSE(repaired.salvageable());
+  EXPECT_TRUE(repaired.bytes.empty());
 }
 
 TEST(SnapshotTest, RegistryShapeMismatchIsRejected) {
@@ -169,6 +194,8 @@ TEST(SnapshotTest, ReorderedAndMissingSectionsAreRejected) {
   const auto& parsed = sections.value();
   ASSERT_GE(parsed.size(), 4u);
 
+  // Each case must fail at the section-order check, not earlier: the
+  // message pins which check caught it.
   {
     // Swap the first two sections: container-valid, semantically wrong.
     SnapshotWriter writer;
@@ -177,7 +204,10 @@ TEST(SnapshotTest, ReorderedAndMissingSectionsAreRejected) {
     for (size_t i = 2; i < parsed.size(); ++i) {
       writer.AddSection(static_cast<SnapshotSectionType>(parsed[i].type), parsed[i].payload);
     }
-    EXPECT_FALSE(DeserializeSnapshot(writer.Finish().value(), *world.registry).ok());
+    auto restored = DeserializeSnapshot(writer.Finish().value(), *world.registry);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_NE(restored.status().message().find("missing meta section"), std::string::npos)
+        << restored.status().message();
   }
   {
     // Drop the last section.
@@ -185,8 +215,89 @@ TEST(SnapshotTest, ReorderedAndMissingSectionsAreRejected) {
     for (size_t i = 0; i + 1 < parsed.size(); ++i) {
       writer.AddSection(static_cast<SnapshotSectionType>(parsed[i].type), parsed[i].payload);
     }
-    EXPECT_FALSE(DeserializeSnapshot(writer.Finish().value(), *world.registry).ok());
+    auto restored = DeserializeSnapshot(writer.Finish().value(), *world.registry);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_NE(restored.status().message().find("sections out of order"), std::string::npos)
+        << restored.status().message();
   }
+}
+
+// Every corruption kind at seeds 1-60 over a small real snapshot. The strict
+// scan and doctor's inspection read frames with one parser, so they must
+// agree on every file; no damaged file may load (or abort); and every
+// salvageable repair must come out clean for both of them.
+TEST(SnapshotTest, CorruptionSweepAgreesAcrossScanInspectAndRepair) {
+  TestWorld world = MakeWorld();
+  const std::string pristine =
+      SerializeSnapshot(BuildSnapshot(world.trace, *world.registry), *world.registry);
+  size_t files = 0;
+  size_t repaired_files = 0;
+  for (CorruptionKind kind : kAllCorruptionKinds) {
+    for (uint64_t seed = 1; seed <= 60; ++seed) {
+      SCOPED_TRACE(std::string(CorruptionKindName(kind)) + " seed " + std::to_string(seed));
+      const std::string bytes = CorruptTraceBytes(pristine, kind, seed);
+      ASSERT_NE(bytes, pristine);
+      ++files;
+      EXPECT_EQ(ScanSnapshotSections(bytes).ok(), InspectSnapshot(bytes).clean());
+      EXPECT_FALSE(DeserializeSnapshot(bytes, *world.registry).ok());
+      SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
+      if (!repaired.salvageable()) {
+        continue;
+      }
+      ++repaired_files;
+      EXPECT_TRUE(InspectSnapshot(repaired.bytes).clean());
+      EXPECT_TRUE(ScanSnapshotSections(repaired.bytes).ok());
+      // Whether a repaired file loads depends on what survived; either way
+      // the answer is a Status.
+      (void)DeserializeSnapshot(repaired.bytes, *world.registry);
+    }
+  }
+  EXPECT_EQ(files, 360u);
+  EXPECT_GT(repaired_files, 0u);
+}
+
+// A groups key whose subclass the registry does not know is a typed load
+// error, like an unknown type or member — not a CHECK abort when a pass
+// first names the key. The forged file is CRC-clean: every section is
+// re-framed through the writer.
+TEST(SnapshotTest, GroupsKeyWithUnknownSubclassIsRejected) {
+  TestWorld world = MakeWorld();
+  const std::string pristine =
+      SerializeSnapshot(BuildSnapshot(world.trace, *world.registry), *world.registry);
+  auto sections = ScanSnapshotSections(pristine);
+  ASSERT_TRUE(sections.ok());
+  ASSERT_EQ(sections.value().back().type, kSnapshotSectionGroups);
+
+  // Groups payload: u64 key_count K | u64 G | u64 S | u32 type[K] |
+  // u32 subclass[K] | ...; give the last key subclass 77.
+  std::string groups(sections.value().back().payload);
+  const uint64_t key_count = LoadUint64LE(groups.data());
+  ASSERT_GT(key_count, 0u);
+  StoreUint32LE(groups.data() + 24 + 4 * key_count + 4 * (key_count - 1), 77);
+  SnapshotWriter writer;
+  for (const SnapshotSection& section : sections.value()) {
+    writer.AddSection(static_cast<SnapshotSectionType>(section.type),
+                      section.type == kSnapshotSectionGroups ? std::string_view(groups)
+                                                             : section.payload);
+  }
+  const std::string forged = writer.Finish().value();
+  ASSERT_TRUE(InspectSnapshot(forged).clean());
+
+  auto restored = DeserializeSnapshot(forged, *world.registry);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().message().find("key out of registry range"), std::string::npos)
+      << restored.status().message();
+
+  std::string path = ::testing::TempDir() + "/snapshot_test_unknown_subclass.lockdb";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << forged;
+  }
+  auto loaded = LoadSnapshot(path, *world.registry);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("key out of registry range"), std::string::npos)
+      << loaded.status().message();
+  std::filesystem::remove(path);
 }
 
 // Forward compatibility: a CRC-intact section of a type this build does
@@ -204,9 +315,7 @@ TEST(SnapshotTest, UnknownSectionTypeIsSkippedOnLoad) {
   const auto& parsed = sections.value();
   ASSERT_GE(parsed.size(), 4u);
   // Re-emit with a future-typed section spliced in after the meta section.
-  // SerializeSnapshot defaults to the v2 container, and the meta payload's
-  // format version is coupled to it — re-emit as v2 too.
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(static_cast<SnapshotSectionType>(parsed[0].type), parsed[0].payload);
   writer.AddSection(static_cast<SnapshotSectionType>(9), "future-extension-payload");
   for (size_t i = 1; i < parsed.size(); ++i) {
@@ -228,32 +337,28 @@ TEST(SnapshotTest, UnknownSectionTypeIsSkippedOnLoad) {
 TEST(SnapshotTest, RepairedSnapshotMissingATableFailsTyped) {
   TestWorld world = MakeWorld();
   AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-    SnapshotWriteOptions write_options;
-    write_options.container_version = version;
-    std::string bytes = SerializeSnapshot(snapshot, *world.registry, write_options);
-    auto sections = ScanSnapshotSections(bytes);
-    ASSERT_TRUE(sections.ok());
-    // Corrupt one payload byte of the first table section; repair then
-    // drops that section wholesale.
-    const SnapshotSection* table = nullptr;
-    for (const auto& section : sections.value()) {
-      if (section.type == kSnapshotSectionTable) {
-        table = &section;
-        break;
-      }
+  std::string bytes = SerializeSnapshot(snapshot, *world.registry);
+  auto sections = ScanSnapshotSections(bytes);
+  ASSERT_TRUE(sections.ok());
+  // Corrupt one payload byte of the first table section; repair then drops
+  // that section wholesale.
+  const SnapshotSection* table = nullptr;
+  for (const auto& section : sections.value()) {
+    if (section.type == kSnapshotSectionTable) {
+      table = &section;
+      break;
     }
-    ASSERT_NE(table, nullptr) << "v" << version;
-    size_t victim = static_cast<size_t>(table->payload.data() - bytes.data());
-    bytes[victim] ^= 0x20;
-    SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
-    ASSERT_TRUE(repaired.salvageable()) << "v" << version;
-    ASSERT_EQ(repaired.dropped.size(), 1u) << "v" << version;
-    auto restored = DeserializeSnapshot(repaired.bytes, *world.registry);
-    ASSERT_FALSE(restored.ok()) << "v" << version;
-    EXPECT_NE(restored.status().message().find("required table"), std::string::npos)
-        << "v" << version << ": " << restored.status().message();
   }
+  ASSERT_NE(table, nullptr);
+  size_t victim = static_cast<size_t>(table->payload.data() - bytes.data());
+  bytes[victim] ^= 0x20;
+  SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
+  ASSERT_TRUE(repaired.salvageable());
+  ASSERT_EQ(repaired.dropped.size(), 1u);
+  auto restored = DeserializeSnapshot(repaired.bytes, *world.registry);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().message().find("required table"), std::string::npos)
+      << restored.status().message();
 }
 
 // The v2 zero-copy load verifies every payload CRC: a flipped padding byte
@@ -293,8 +398,8 @@ TEST(SnapshotTest, V2LoadVerifiesPaddedPayloadCrcs) {
 // BuildAndSaveSnapshot overlaps the head-section disk write with
 // observation extraction and frames sections straight into the file, but
 // the bytes on disk must be exactly what the serial build-then-serialize
-// path produces — at any job count, for both container versions, on the
-// little fixture world and on an mm world (range locks and range tables).
+// path produces — at any job count, on the little fixture world and on an mm
+// world (range locks and range tables).
 TEST(SnapshotTest, BuildAndSaveSnapshotMatchesSerialBytesAtAnyJobCount) {
   TestWorld world = MakeWorld();
   MixOptions mix;
@@ -312,29 +417,23 @@ TEST(SnapshotTest, BuildAndSaveSnapshotMatchesSerialBytesAtAnyJobCount) {
   for (const Input& input : {Input{"world", &world.trace, world.registry.get(), {}},
                              Input{"mm", &mm.trace, mm.registry.get(), mm_options}}) {
     AnalysisSnapshot snapshot = BuildSnapshot(*input.trace, *input.registry, input.options);
-    for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-      SnapshotWriteOptions write_options;
-      write_options.container_version = version;
-      const std::string expected = SerializeSnapshot(snapshot, *input.registry, write_options);
-      for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
-        PipelineOptions options = input.options;
-        options.jobs = jobs;
-        std::string path = ::testing::TempDir() + "/snapshot_test_build_save_" + input.name +
-                           "_v" + std::to_string(version) + "_j" + std::to_string(jobs) +
-                           ".lockdb";
-        auto built =
-            BuildAndSaveSnapshot(*input.trace, *input.registry, options, write_options, path);
-        ASSERT_TRUE(built.ok()) << built.status().message();
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in.is_open()) << path;
-        std::ostringstream actual;
-        actual << in.rdbuf();
-        EXPECT_TRUE(actual.str() == expected)
-            << input.name << " v" << version << " jobs=" << jobs
-            << " diverged from the serial bytes";
-        ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
-        std::filesystem::remove(path);
-      }
+    const std::string expected = SerializeSnapshot(snapshot, *input.registry);
+    for (size_t jobs : {size_t{1}, size_t{2}, size_t{8}}) {
+      PipelineOptions options = input.options;
+      options.jobs = jobs;
+      std::string path = ::testing::TempDir() + "/snapshot_test_build_save_" + input.name +
+                         "_j" + std::to_string(jobs) + ".lockdb";
+      auto built = BuildAndSaveSnapshot(*input.trace, *input.registry, options,
+                                        SnapshotWriteOptions{}, path);
+      ASSERT_TRUE(built.ok()) << built.status().message();
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.is_open()) << path;
+      std::ostringstream actual;
+      actual << in.rdbuf();
+      EXPECT_TRUE(actual.str() == expected)
+          << input.name << " jobs=" << jobs << " diverged from the serial bytes";
+      ExpectSameRules(AnalyzeSnapshot(built.value()), AnalyzeSnapshot(snapshot));
+      std::filesystem::remove(path);
     }
   }
 }

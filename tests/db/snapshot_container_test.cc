@@ -79,7 +79,7 @@ TEST(SnapshotContainerTest, UnknownSectionTypeIsUnrecognizedNotDamage) {
 }
 
 TEST(SnapshotContainerTest, V2UnknownSectionTypeIsUnrecognizedNotDamage) {
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(static_cast<SnapshotSectionType>(11), "future-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
@@ -121,7 +121,7 @@ TEST(SnapshotContainerTest, EveryByteFlipIsDetected) {
   std::string pristine = TinySnapshot();
   // Flip each byte after the magic in turn; the strict scan must fail every
   // time (CRC, marker, or structural check) and never crash.
-  for (size_t i = sizeof(kSnapshotMagic); i < pristine.size(); ++i) {
+  for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] ^= 0x40;
     auto sections = ScanSnapshotSections(bytes);
@@ -142,7 +142,7 @@ void PatchU64(std::string* bytes, size_t pos, uint64_t value) {
 }
 
 std::string TinySnapshotV2() {
-  SnapshotWriter writer(/*container_version=*/2);
+  SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
   writer.AddSection(kSnapshotSectionTable, "table-bytes");
@@ -200,89 +200,39 @@ TEST(SnapshotContainerTest, V2HeaderModeDefersTablePayloadCrcOnly) {
   EXPECT_NE(deferred.message().find("crc mismatch"), std::string::npos);
 }
 
-TEST(SnapshotContainerTest, OversizedSectionFailsWithTypedError) {
-  // The guard against the 32-bit v1 length field: an oversized payload must
-  // poison the writer with a typed error, never truncate silently. The cap
-  // is injected tiny so the test does not materialize gigabytes.
-  SnapshotWriter writer(/*container_version=*/1, /*max_section_payload=*/16);
-  writer.AddSection(kSnapshotSectionMeta, "fits");
-  writer.AddSection(kSnapshotSectionTable, std::string(17, 'x'));
-  EXPECT_FALSE(writer.status().ok());
-  writer.AddSection(kSnapshotSectionPool, "ignored after the failure");
-  auto finished = writer.Finish();
-  ASSERT_FALSE(finished.ok());
-  EXPECT_NE(finished.status().message().find("table"), std::string::npos);
-  EXPECT_NE(finished.status().message().find("exceeds the v1 container cap"),
-            std::string::npos);
-
-  // v2 honors an injected cap the same way (its default cap is the 64-bit
-  // length itself, which a test cannot reach).
-  SnapshotWriter v2(/*container_version=*/2, /*max_section_payload=*/8);
-  v2.AddSection(kSnapshotSectionMeta, std::string(9, 'y'));
-  EXPECT_FALSE(v2.Finish().ok());
-}
-
 // A streaming writer frames exactly the bytes the buffering one returns —
 // a payload given in pieces is checksummed where it lies — and a sink error
 // is sticky: nothing reaches the sink after it, and Finish returns it.
 TEST(SnapshotContainerTest, StreamedFramesMatchBufferedAndSinkErrorsStick) {
-  for (uint64_t version : {uint64_t{1}, uint64_t{2}}) {
-    SnapshotWriter buffered(version);
-    buffered.AddSection(kSnapshotSectionMeta, "meta-payload");
-    buffered.AddSection(kSnapshotSectionTable, "head|column-a|column-b|");
-    std::string expected = buffered.Finish().value();
+  SnapshotWriter buffered;
+  buffered.AddSection(kSnapshotSectionMeta, "meta-payload");
+  buffered.AddSection(kSnapshotSectionTable, "head|column-a|column-b|");
+  std::string expected = buffered.Finish().value();
 
-    std::string streamed;
-    SnapshotWriter writer(version, [&](std::string_view bytes) {
-      streamed.append(bytes);
-      return Status::Ok();
-    });
-    writer.AddSection(kSnapshotSectionMeta, "meta-payload");
-    writer.AddSection(kSnapshotSectionTable, std::vector<std::string_view>{
-                                                 "head|", "", "column-a|", "column-b|"});
-    auto finished = writer.Finish();
-    ASSERT_TRUE(finished.ok()) << finished.status().message();
-    EXPECT_TRUE(finished.value().empty());
-    EXPECT_EQ(streamed, expected) << "v" << version;
-    EXPECT_EQ(writer.bytes_written(), expected.size());
+  std::string streamed;
+  SnapshotWriter writer([&](std::string_view bytes) {
+    streamed.append(bytes);
+    return Status::Ok();
+  });
+  writer.AddSection(kSnapshotSectionMeta, "meta-payload");
+  writer.AddSection(kSnapshotSectionTable,
+                    std::vector<std::string_view>{"head|", "", "column-a|", "column-b|"});
+  auto finished = writer.Finish();
+  ASSERT_TRUE(finished.ok()) << finished.status().message();
+  EXPECT_TRUE(finished.value().empty());
+  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(writer.bytes_written(), expected.size());
 
-    int calls = 0;
-    SnapshotWriter failing(version, [&](std::string_view) {
-      return ++calls == 3 ? Status::Error("disk full") : Status::Ok();
-    });
-    failing.AddSection(kSnapshotSectionMeta, "meta-payload");
-    failing.AddSection(kSnapshotSectionTable, "table-payload");
-    auto failed = failing.Finish();
-    ASSERT_FALSE(failed.ok());
-    EXPECT_EQ(failed.status().message(), "disk full");
-    EXPECT_EQ(calls, 3) << "v" << version << ": the sink was called after its error";
-  }
-}
-
-TEST(SnapshotContainerTest, CorruptV1LengthIsClampedAndLaterFramesSurvive) {
-  std::string bytes = TinySnapshot();
-  auto sections = ScanSnapshotSections(bytes);
-  ASSERT_TRUE(sections.ok());
-  // Forge the strings section's length field to point far past the next
-  // frame. The strict scan must reject the file, and the lenient inspection
-  // must clamp the reported size to the bytes before the next marker
-  // instead of swallowing the frames the length pretends to cover.
-  size_t frame = sections.value()[1].offset;
-  PatchU32(&bytes, frame + 9, 0x7FFFFFFF);
-
-  EXPECT_FALSE(ScanSnapshotSections(bytes).ok());
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  EXPECT_FALSE(inspection.clean());
-  ASSERT_EQ(inspection.sections.size(), 3u);
-  EXPECT_TRUE(inspection.sections[0].ok());
-  EXPECT_FALSE(inspection.sections[1].ok());
-  EXPECT_NE(inspection.sections[1].problem.find("implausible length"), std::string::npos);
-  EXPECT_NE(inspection.sections[1].problem.find("clamped"), std::string::npos);
-  EXPECT_LT(inspection.sections[1].payload_size, uint64_t{0x7FFFFFFF});
-  // The table section after the damage is still found and verifies.
-  EXPECT_TRUE(inspection.sections[2].ok());
-  EXPECT_EQ(inspection.sections[2].type, kSnapshotSectionTable);
-  EXPECT_TRUE(inspection.end_ok);
+  int calls = 0;
+  SnapshotWriter failing([&](std::string_view) {
+    return ++calls == 3 ? Status::Error("disk full") : Status::Ok();
+  });
+  failing.AddSection(kSnapshotSectionMeta, "meta-payload");
+  failing.AddSection(kSnapshotSectionTable, "table-payload");
+  auto failed = failing.Finish();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().message(), "disk full");
+  EXPECT_EQ(calls, 3) << "the sink was called after its error";
 }
 
 TEST(SnapshotContainerTest, CorruptV2LengthIsClampedAndLaterFramesSurvive) {
@@ -385,13 +335,29 @@ Table& MakeSampleTable(Database* db) {
   return table;
 }
 
+// Frames `table` the way import does and returns its section payload, a
+// view into `*bytes`: decoded columns view into it, so it must outlive them.
+std::string_view FramedTablePayload(const Table& table, std::string* bytes) {
+  SnapshotWriter writer;
+  writer.AddTableSection(table);
+  *bytes = writer.Finish().value();
+  auto sections = ScanSnapshotSections(*bytes);
+  EXPECT_TRUE(sections.ok()) << sections.status().message();
+  if (!sections.ok() || sections.value().size() != 1) {
+    return {};
+  }
+  EXPECT_EQ(sections.value()[0].type, kSnapshotSectionTable);
+  return sections.value()[0].payload;
+}
+
 TEST(SnapshotContainerTest, TableSectionRoundTrip) {
   Database db;
   Table& table = MakeSampleTable(&db);
-  std::string payload = EncodeTableSection(table);
+  std::string bytes;
+  std::string_view payload = FramedTablePayload(table, &bytes);
 
   Database restored_db;
-  ASSERT_TRUE(DecodeTableSection(payload, &restored_db).ok());
+  ASSERT_TRUE(DecodeTableSectionV2(payload, &restored_db).ok());
   ASSERT_TRUE(restored_db.HasTable("sample"));
   const Table& restored = restored_db.table("sample");
   ASSERT_EQ(restored.row_count(), table.row_count());
@@ -407,18 +373,20 @@ TEST(SnapshotContainerTest, TableSectionRoundTrip) {
 
 TEST(SnapshotContainerTest, TableSectionRejectsDuplicateTable) {
   Database db;
-  std::string payload = EncodeTableSection(MakeSampleTable(&db));
+  std::string bytes;
+  std::string_view payload = FramedTablePayload(MakeSampleTable(&db), &bytes);
   Database restored;
-  ASSERT_TRUE(DecodeTableSection(payload, &restored).ok());
-  EXPECT_FALSE(DecodeTableSection(payload, &restored).ok());
+  ASSERT_TRUE(DecodeTableSectionV2(payload, &restored).ok());
+  EXPECT_FALSE(DecodeTableSectionV2(payload, &restored).ok());
 }
 
 TEST(SnapshotContainerTest, TableSectionRejectsTruncatedPayload) {
   Database db;
-  std::string payload = EncodeTableSection(MakeSampleTable(&db));
+  std::string bytes;
+  std::string_view payload = FramedTablePayload(MakeSampleTable(&db), &bytes);
   for (size_t keep : {size_t{0}, size_t{1}, payload.size() / 2, payload.size() - 1}) {
     Database restored;
-    EXPECT_FALSE(DecodeTableSection(payload.substr(0, keep), &restored).ok())
+    EXPECT_FALSE(DecodeTableSectionV2(payload.substr(0, keep), &restored).ok())
         << "truncated to " << keep;
   }
 }

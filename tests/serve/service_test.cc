@@ -371,6 +371,24 @@ TEST_F(ServeServiceTest, EmptyFileIsQuarantinedTyped) {
   EXPECT_EQ(service.stats().quarantined, 1u);
 }
 
+// The retired v1 container never reaches the trace reader or the resident
+// store: it is quarantined with the loader's typed error as its reason.
+TEST_F(ServeServiceTest, V1SnapshotIsQuarantinedWithTheReimportMessage) {
+  ASSERT_TRUE(
+      WriteFileAtomic(layout_.incoming_dir + "/old.lockdb", "LOCKDB01 then v1 frames").ok());
+  ServeService service(layout_, sim_.registry.get(), options_);
+  ASSERT_TRUE(service.Recover().ok());
+  ASSERT_TRUE(service.ProcessOnce().ok());
+
+  auto reason = ReadFileToString(layout_.quarantine_dir + "/old.lockdb.reason");
+  ASSERT_TRUE(reason.ok());
+  EXPECT_NE(reason.value().find("kind=damaged-snapshot\n"), std::string::npos) << reason.value();
+  EXPECT_NE(reason.value().find("container v1 (LOCKDB01)"), std::string::npos) << reason.value();
+  EXPECT_NE(reason.value().find("lockdoc import"), std::string::npos) << reason.value();
+  EXPECT_EQ(service.stats().quarantined, 1u);
+  EXPECT_EQ(service.stats().ingested, 0u);
+}
+
 TEST_F(ServeServiceTest, OversizedFileIsQuarantinedBeforeParsing) {
   DropTrace("web.trace");
   options_.max_trace_bytes = 16;

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 namespace {
@@ -82,59 +81,6 @@ TEST(Crc32Test, EverySizeAcrossTheSimdThresholdMatchesBitwiseReference) {
   for (size_t size = 0; size <= data.size(); ++size) {
     std::string_view window(data.data(), size);
     ASSERT_EQ(Crc32(window), reference(window)) << "size " << size;
-  }
-}
-
-TEST(Crc32Test, CombineMatchesConcatenation) {
-  Rng rng(23);
-  std::string a(12345, '\0');
-  std::string b(54321, '\0');
-  for (char& c : a) {
-    c = static_cast<char>(rng.Next());
-  }
-  for (char& c : b) {
-    c = static_cast<char>(rng.Next());
-  }
-  uint32_t whole = Crc32(a + b);
-  EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(b), b.size()), whole);
-  // Degenerate pieces.
-  EXPECT_EQ(Crc32Combine(Crc32(a), Crc32(""), 0), Crc32(a));
-  EXPECT_EQ(Crc32Combine(Crc32(""), Crc32(b), b.size()), Crc32(b));
-}
-
-TEST(Crc32Test, CombineChainsAcrossManyChunks) {
-  Rng rng(31);
-  std::string data(100000, '\0');
-  for (char& c : data) {
-    c = static_cast<char>(rng.Next());
-  }
-  uint32_t whole = Crc32(data);
-  for (size_t chunk : {1u, 13u, 4096u, 99999u}) {
-    uint32_t crc = 0;
-    bool first = true;
-    for (size_t pos = 0; pos < data.size(); pos += chunk) {
-      size_t len = std::min(chunk, data.size() - pos);
-      uint32_t piece = Crc32(data.data() + pos, len);
-      crc = first ? piece : Crc32Combine(crc, piece, len);
-      first = false;
-    }
-    EXPECT_EQ(crc, whole) << "chunk " << chunk;
-  }
-}
-
-TEST(Crc32Test, ParallelMatchesSerialAtAnyThreadCount) {
-  Rng rng(47);
-  // Larger than the parallel cutoff so the pooled path actually runs.
-  std::string data(5 << 20, '\0');
-  for (char& c : data) {
-    c = static_cast<char>(rng.Next());
-  }
-  uint32_t serial = Crc32(data);
-  EXPECT_EQ(Crc32Parallel(data.data(), data.size(), nullptr), serial);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(Crc32Parallel(data.data(), data.size(), &pool), serial)
-        << threads << " threads";
   }
 }
 

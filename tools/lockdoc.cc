@@ -33,8 +33,9 @@
 // once, and each selected pass's output — byte-identical to its standalone
 // command — is emitted in pass order (or to per-pass files via --out-dir).
 //
-// Flags are validated strictly: a flag a command does not accept is a usage
-// error (exit 64), not a silent no-op.
+// Arguments are validated strictly: a flag a command does not accept, or a
+// positional argument beyond its synopsis, is a usage error (exit 64), not a
+// silent no-op.
 //
 // `doctor` checks an archived file's health (traces and snapshots): exit
 // code 0 means clean, 1 damaged-but-salvageable (for traces, optionally
@@ -124,7 +125,8 @@ int Usage() {
                "report rendering (text is byte-identical to previous releases);\n"
                "--filter-config FILE blacklists functions/members from counterexample\n"
                "forensics, with suppressed counts reported, never silent.\n"
-               "a flag a command does not accept is a usage error (exit 64)\n",
+               "a flag a command does not accept, or an extra argument, is a usage\n"
+               "error (exit 64)\n",
                PassRegistry::Default().JoinedNames().c_str());
   return 2;
 }
@@ -282,7 +284,7 @@ const std::map<std::string, std::set<std::string>>& CommandFlagTable() {
     };
     return new std::map<std::string, std::set<std::string>>{
         {"simulate", {"out", "ops", "seed", "clean", "script", "workload"}},
-        {"import", with({"out", "format"})},
+        {"import", with({"out"})},
         {"stats", {"salvage"}},
         {"derive", with({"tac", "type", "subclass", "spec", "support", "out-dir", "format"})},
         {"check", with({"rules", "format"})},
@@ -304,9 +306,20 @@ const std::map<std::string, std::set<std::string>>& CommandFlagTable() {
   return *table;
 }
 
-// Returns 0 when every flag is accepted by `command`, 64 (with a message on
-// stderr) otherwise. Unknown commands are left for Usage().
-int ValidateFlags(const std::string& command, const FlagSet& flags) {
+// The positional arguments each command takes after its name, as in the
+// synopsis of docs/cli.md. A missing one is left to the command, which says
+// what it needs.
+size_t PositionalCount(const std::string& command) {
+  if (command == "simulate") {
+    return 0;
+  }
+  return command == "diff" || command == "query" ? 2 : 1;
+}
+
+// Returns 0 when every flag is accepted by `command` and no positional
+// argument is left over, 64 (with a message on stderr) otherwise. Unknown
+// commands are left for Usage().
+int ValidateArguments(const std::string& command, const FlagSet& flags) {
   const auto& table = CommandFlagTable();
   auto it = table.find(command);
   if (it == table.end()) {
@@ -317,6 +330,12 @@ int ValidateFlags(const std::string& command, const FlagSet& flags) {
       std::fprintf(stderr, "lockdoc %s: unknown flag --%s\n", command.c_str(), name.c_str());
       return 64;
     }
+  }
+  const size_t allowed = PositionalCount(command) + 1;  // The command itself.
+  if (flags.positional().size() > allowed) {
+    std::fprintf(stderr, "lockdoc %s: unexpected argument '%s'\n", command.c_str(),
+                 flags.positional()[allowed].c_str());
+    return 64;
   }
   // A bare "--timings-json" with no path parses as the boolean value "true";
   // writing JSON to a file named "true" is never what the user meant.
@@ -556,12 +575,6 @@ int CmdImport(const FlagSet& flags) {
     std::fprintf(stderr, "lockdoc import: --out is required\n");
     return 2;
   }
-  std::string format = flags.GetString("format", "v2");
-  if (format != "v1" && format != "v2") {
-    std::fprintf(stderr, "lockdoc import: --format must be v1 or v2 (got '%s')\n",
-                 format.c_str());
-    return 64;
-  }
   PipelineTimings timings;
   auto t_read = std::chrono::steady_clock::now();
   LoadedTrace input;
@@ -570,14 +583,12 @@ int CmdImport(const FlagSet& flags) {
   }
   timings.Add("trace read", SecondsBetween(t_read, std::chrono::steady_clock::now()),
               input.trace.size());
-  SnapshotWriteOptions write_options;
-  write_options.container_version = format == "v1" ? 1 : 2;
   // Build + atomic publication in one overlapped pass: the bulky table
   // sections stream to disk while observation extraction still runs, and a
   // crash mid-import never leaves a torn .lockdb that a later analysis (or
   // the serve spool) would trip over.
   auto built = BuildAndSaveSnapshot(input.trace, *input.registry, MakeOptions(flags),
-                                    write_options, out, &timings);
+                                    SnapshotWriteOptions{}, out, &timings);
   if (!built.ok()) {
     std::fprintf(stderr, "lockdoc: %s\n", built.status().message().c_str());
     return 1;
@@ -853,13 +864,15 @@ int DoctorSnapshot(const std::string& path, const std::string& repair_out) {
     return 2;
   }
   const std::string& bytes = read.value();
-
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  if (!inspection.magic_ok) {
-    std::printf("%s: not a .lockdb snapshot\n", path.c_str());
+  // A v1 container has nothing readable or repairable; its typed error
+  // says to re-import.
+  if (Status magic = CheckSnapshotMagic(bytes); !magic.ok()) {
+    std::printf("%s: %s\n", path.c_str(), magic.message().c_str());
     std::printf("verdict: unreadable\n");
     return 2;
   }
+
+  SnapshotInspection inspection = InspectSnapshot(bytes);
   if (!inspection.clean()) {
     std::printf("%s: damaged\n", path.c_str());
     std::printf("%s", inspection.ToString().c_str());
@@ -1163,7 +1176,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string& command = flags.positional()[0];
-  if (int usage_error = ValidateFlags(command, flags); usage_error != 0) {
+  if (int usage_error = ValidateArguments(command, flags); usage_error != 0) {
     return usage_error;
   }
   if (command == "simulate") {
