@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "src/core/analysis_context.h"
 #include "src/core/pipeline.h"
 #include "src/util/flags.h"
 #include "src/util/string_util.h"
@@ -49,6 +50,15 @@ inline StandardRun RunStandardEvaluation(int argc, const char* const* argv,
   options.jobs = flags.GetUint64("jobs", 0);
   run.pipeline = RunPipeline(run.sim.trace, *run.sim.registry, options);
   return run;
+}
+
+// An analysis context over the run's snapshot, on as many threads as the
+// pipeline used. Its own rules() would be derived at the default --tac, so
+// the tables pass the pipeline's rules (run.pipeline.rules) instead.
+inline AnalysisContext ContextFor(const StandardRun& run) {
+  AnalysisOptions options;
+  options.pipeline.jobs = run.pipeline.timings.jobs;
+  return AnalysisContext(&run.pipeline.snapshot, run.sim.registry.get(), options);
 }
 
 }  // namespace lockdoc

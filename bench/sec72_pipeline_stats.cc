@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/core/analysis_context.h"
 #include "src/core/pipeline.h"
 #include "src/core/violation_finder.h"
 #include "src/trace/trace_stats.h"
@@ -48,35 +49,37 @@ int main(int argc, char** argv) {
   SimulationResult sim = SimulateKernelRun(mix, FaultPlan{});
   auto t1 = std::chrono::steady_clock::now();
 
-  Database db;
+  AnalysisSnapshot snapshot;
   TraceImporter importer(sim.registry.get(), VfsKernel::MakeFilterConfig());
-  ImportStats import_stats = importer.Import(sim.trace, &db);
+  snapshot.import_stats = importer.Import(sim.trace, &snapshot.db);
   auto t2 = std::chrono::steady_clock::now();
 
-  ObservationStore observations = ExtractObservations(db, *sim.registry, &pool);
+  snapshot.observations = ExtractObservations(snapshot.db, *sim.registry, &pool);
   auto t3 = std::chrono::steady_clock::now();
 
   RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(observations, &pool);
+  std::vector<DerivationResult> rules = derivator.DeriveAll(snapshot.observations, &pool);
   auto t4 = std::chrono::steady_clock::now();
 
-  ViolationFinder finder(&db, sim.registry.get(), &observations);
-  std::vector<Violation> violations = finder.FindAll(rules, &pool);
+  AnalysisOptions options;
+  options.pipeline.jobs = pool.thread_count();
+  AnalysisContext context(&snapshot, sim.registry.get(), options);
+  std::vector<Violation> violations = ViolationFinder(context).FindAll(rules);
   auto t5 = std::chrono::steady_clock::now();
 
   TraceStats stats = ComputeTraceStats(sim.trace);
   std::printf("Sec. 7.2 — tracing and locking-rule derivation statistics\n\n");
   std::printf("%s", stats.ToString().c_str());
   std::printf("accesses kept after filtering: %s (filtered: %s)\n",
-              FormatWithCommas(import_stats.accesses_kept).c_str(),
-              FormatWithCommas(import_stats.accesses_filtered).c_str());
+              FormatWithCommas(snapshot.import_stats.accesses_kept).c_str(),
+              FormatWithCommas(snapshot.import_stats.accesses_filtered).c_str());
   std::printf("transactions reconstructed:    %s (%s with locks held)\n",
-              FormatWithCommas(import_stats.txns).c_str(),
-              FormatWithCommas(import_stats.locked_txns).c_str());
+              FormatWithCommas(snapshot.import_stats.txns).c_str(),
+              FormatWithCommas(snapshot.import_stats.locked_txns).c_str());
   std::printf("lock instances:                %s\n",
-              FormatWithCommas(import_stats.lock_instances).c_str());
+              FormatWithCommas(snapshot.import_stats.lock_instances).c_str());
   std::printf("derived rules:                 %zu (for %zu member populations)\n",
-              rules.size(), observations.groups().size());
+              rules.size(), snapshot.observations.groups().size());
   uint64_t counterexamples = 0;
   for (const Violation& violation : violations) {
     counterexamples += violation.seqs.size();

@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rules.status().message().c_str());
     return 1;
   }
-  RuleChecker checker(run.sim.registry.get(), &run.pipeline.snapshot.observations);
-  std::vector<RuleCheckResult> results = checker.CheckAll(rules.value());
+  AnalysisContext context = ContextFor(run);
+  std::vector<RuleCheckResult> results = RuleChecker(context).CheckAll(rules.value());
 
   std::printf("Tab. 4 — summary of validated locking rules\n\n");
   TextTable table({"Data Type", "#R", "#No", "#Ob", "! (%)", "~ (%)", "# (%)"});

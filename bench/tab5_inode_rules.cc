@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", rules.status().message().c_str());
     return 1;
   }
-  RuleChecker checker(run.sim.registry.get(), &run.pipeline.snapshot.observations);
+  AnalysisContext context = ContextFor(run);
+  RuleChecker checker(context);
 
   std::vector<RuleCheckResult> inode_results;
   for (const LockingRule& rule : rules.value().rules()) {

@@ -12,8 +12,8 @@ using namespace lockdoc;
 int main(int argc, char** argv) {
   StandardRun run = RunStandardEvaluation(argc, argv);
 
-  ViolationFinder finder(&run.pipeline.snapshot.db, run.sim.registry.get(),
-                         &run.pipeline.snapshot.observations);
+  AnalysisContext context = ContextFor(run);
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(run.pipeline.rules);
 
   std::printf("Tab. 7 — summary of locking-rule violations\n\n");

@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv, &error);
   size_t limit = flags.GetUint64("examples", 10);
 
-  ViolationFinder finder(&run.pipeline.snapshot.db, run.sim.registry.get(),
-                         &run.pipeline.snapshot.observations);
+  AnalysisContext context = ContextFor(run);
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(run.pipeline.rules);
 
   std::printf("Tab. 8 — locking-rule violation examples\n\n");
-  for (const ViolationExample& ex : finder.Examples(violations, limit)) {
+  for (const CexGroupData& ex : finder.Forensics(violations, limit).groups) {
     std::printf("%s [%s]\n", ex.member.c_str(), ex.access.c_str());
     std::printf("  rule:     %s\n", ex.rule.c_str());
     std::printf("  held:     %s\n", ex.held.c_str());

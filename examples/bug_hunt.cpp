@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <string>
 
+#include "src/core/analysis_context.h"
 #include "src/core/pipeline.h"
 #include "src/core/violation_finder.h"
 #include "src/util/flags.h"
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
   options.derivator.accept_threshold = flags.GetDouble("tac", 0.9);
   PipelineResult result = RunPipeline(sim.trace, *sim.registry, options);
 
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
 
   std::printf("=== violation summary per data type ===\n");
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
 
   size_t limit = flags.GetUint64("examples", 12);
   std::printf("=== top violation contexts ===\n");
-  for (const ViolationExample& ex : finder.Examples(violations, limit)) {
+  for (const CexGroupData& ex : finder.Forensics(violations, limit).groups) {
     std::printf("%s [%s]\n  rule: %s\n  held: %s\n  at %s (%llu events)\n  stack: %s\n\n",
                 ex.member.c_str(), ex.access.c_str(), ex.rule.c_str(), ex.held.c_str(),
                 ex.location.c_str(), static_cast<unsigned long long>(ex.events),

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/core/analysis_context.h"
 #include "src/core/pipeline.h"
 #include "src/core/rule_checker.h"
 #include "src/trace/trace_io.h"
@@ -75,8 +76,8 @@ int main(int argc, char** argv) {
   options.filter = VfsKernel::MakeFilterConfig();
   PipelineResult result = RunPipeline(trace, *registry, options);
 
-  RuleChecker checker(registry.get(), &result.snapshot.observations);
-  std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value());
+  AnalysisContext context(&result.snapshot, registry.get());
+  std::vector<RuleCheckResult> checked = RuleChecker(context).CheckAll(rules.value());
 
   std::printf("=== per-rule results ===\n");
   for (const RuleCheckResult& r : checked) {

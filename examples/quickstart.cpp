@@ -8,6 +8,7 @@
 // Usage: quickstart [--iterations=N] [--tac=0.9]
 #include <cstdio>
 
+#include "src/core/analysis_context.h"
 #include "src/core/clock_example.h"
 #include "src/core/pipeline.h"
 #include "src/core/violation_finder.h"
@@ -66,10 +67,11 @@ int main(int argc, char** argv) {
   std::printf("%s", table.ToString().c_str());
 
   // The injected bug shows up as a rule violation.
-  ViolationFinder finder(&result.snapshot.db, example.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, example.registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result.rules);
   std::printf("\nrule violations found: %zu\n", violations.size());
-  for (const ViolationExample& ex : finder.Examples(violations, 5)) {
+  for (const CexGroupData& ex : finder.Forensics(violations, 5).groups) {
     std::printf("  %s [%s] expected {%s} but held {%s} at %s (%llu events)\n",
                 ex.member.c_str(), ex.access.c_str(), ex.rule.c_str(), ex.held.c_str(),
                 ex.location.c_str(), static_cast<unsigned long long>(ex.events));

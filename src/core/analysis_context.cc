@@ -74,8 +74,13 @@ const LockPostingIndex& AnalysisContext::lock_postings() {
   return *postings_;
 }
 
-void AnalysisContext::SeedRules(std::vector<DerivationResult> rules) {
-  std::call_once(rules_once_, [&] { rules_ = std::move(rules); });
+RuleCompliance AnalysisContext::Compliance(const LockSeq& rule) {
+  RuleCompliance compliance;
+  compliance.ids = observations().pool().FindSeq(rule);
+  if (compliance.ids.has_value()) {
+    compliance.complying = lock_postings().ComplyingSeqs(observations(), *compliance.ids);
+  }
+  return compliance;
 }
 
 std::vector<DerivationResult> AnalysisContext::TakeRules() {

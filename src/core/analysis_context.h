@@ -13,6 +13,11 @@
 // index), on first use, by whichever consumer asks first, and then served
 // read-only to everyone else.
 //
+// The context is also the only way into the rule checker, the violation
+// finder and the mode analyzer. Each is built from a context and asks it
+// one question, through ForEachGroup: which groups of a (member, access)
+// hold a rule's locks in order?
+//
 // Determinism contract (extends DESIGN.md 4b): every index is a pure
 // function of the snapshot and the context's options — built over the
 // context's ThreadPool where parallelism applies, with results written to
@@ -24,9 +29,11 @@
 #ifndef SRC_CORE_ANALYSIS_CONTEXT_H_
 #define SRC_CORE_ANALYSIS_CONTEXT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +48,20 @@
 namespace lockdoc {
 
 class AnalysisContext;
+
+// One rule's compliance over the store's interned held sequences. `ids` is
+// the rule's interned form, absent when the rule names a lock class the pool
+// never interned. Every held sequence is built from interned classes, so
+// such a rule complies with no group. `complying` lists, ascending, the
+// held-sequence ids that contain the rule as an ordered subsequence.
+struct RuleCompliance {
+  std::optional<IdSeq> ids;
+  std::vector<uint32_t> complying;
+
+  bool Complies(uint32_t lockseq_id) const {
+    return std::binary_search(complying.begin(), complying.end(), lockseq_id);
+  }
+};
 
 // Knobs consumed by individual analysis passes (src/core/analysis_pass.h),
 // typically filled from CLI flags. A pass reads only its own fields.
@@ -98,8 +119,7 @@ class AnalysisContext {
   const AnalysisSnapshot& snapshot() const { return *snapshot_; }
   const Database& db() const { return snapshot_->db; }
   const ObservationStore& observations() const { return snapshot_->observations; }
-  bool has_registry() const { return registry_ != nullptr; }
-  const TypeRegistry& registry() const;  // CHECKs has_registry().
+  const TypeRegistry& registry() const;  // CHECKs that one was given.
   const AnalysisOptions& options() const { return options_; }
   PassOptions& pass_options() { return options_.pass; }
   ThreadPool& pool() { return pool_; }
@@ -122,11 +142,29 @@ class AnalysisContext {
   // Per-lock-class posting lists over interned sequences.
   const LockPostingIndex& lock_postings();
 
-  // Adopts pre-derived rules (e.g. from a completed PipelineResult) as the
-  // memoized rule set. A no-op if rules() was already built; call before
-  // first use. The seeded rules must come from this snapshot with the same
-  // derivator options, or pass outputs will disagree with a fresh context.
-  void SeedRules(std::vector<DerivationResult> rules);
+  // --- The group walk of the phase-3 analyzers (RuleChecker, ---
+  // --- ViolationFinder, ModeAnalyzer)                          ---
+
+  // `rule`'s complying held sequences, from the shared posting lists.
+  RuleCompliance Compliance(const LockSeq& rule);
+
+  // Calls visit(group, complies) for every observation group of (key,
+  // access), in store order; `complies` says whether the group's held
+  // sequence contains `rule` as an ordered subsequence. Safe to call from
+  // several threads at once.
+  template <typename Visit>
+  void ForEachGroup(const MemberObsKey& key, AccessType access, const RuleCompliance& rule,
+                    Visit&& visit) {
+    const MemberAccessIndex::Entry* entry = member_access_index().Find(key);
+    if (entry == nullptr) {
+      return;
+    }
+    const std::vector<ObservationGroup>& groups = observations().GroupsFor(key);
+    for (uint32_t index : entry->For(access)) {
+      const ObservationGroup& group = groups[index];
+      visit(group, rule.Complies(group.lockseq_id));
+    }
+  }
 
   // Moves the memoized rule set out (deriving first if needed); the context
   // must not be used afterwards. For one-shot callers like AnalyzeSnapshot.

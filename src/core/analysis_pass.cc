@@ -40,10 +40,9 @@ class CheckPass : public AnalysisPass {
     if (!rules.ok()) {
       return rules.status();
     }
-    RuleChecker checker(&context.registry(), &context.observations(),
-                        &context.member_access_index(), &context.lock_postings());
+    RuleChecker checker(context);
     auto t0 = Clock::now();
-    std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value(), &context.pool());
+    std::vector<RuleCheckResult> checked = checker.CheckAll(rules.value());
     context.timings().Add("rule checking", Seconds(t0, Clock::now()), rules.value().size());
     ReportSection& section = AddSection(doc, "rule-check");
     for (const RuleCheckResult& r : checked) {
@@ -158,10 +157,9 @@ class ViolationsPass : public AnalysisPass {
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
     const std::vector<DerivationResult>& rules = context.rules();
-    ViolationFinder finder(&context.db(), &context.registry(), &context.observations(),
-                           &context.member_access_index(), &context.lock_postings());
+    ViolationFinder finder(context);
     auto t0 = Clock::now();
-    std::vector<Violation> violations = finder.FindAll(rules, &context.pool());
+    std::vector<Violation> violations = finder.FindAll(rules);
     context.timings().Add("violation finding", Seconds(t0, Clock::now()), rules.size());
 
     ReportSection& section = AddSection(doc, "violations");
@@ -225,10 +223,8 @@ class ModesPass : public AnalysisPass {
     const std::vector<DerivationResult>& rules = context.rules();
     bool all = opts.modes_all;
     const TypeRegistry& registry = context.registry();
-    ModeAnalyzer analyzer(&context.db(), &registry, &context.observations(),
-                          &context.member_access_index(), &context.lock_postings());
-    auto entries = all ? analyzer.Analyze(rules, &context.pool())
-                       : analyzer.FindSharedModeWrites(rules, &context.pool());
+    ModeAnalyzer analyzer(context);
+    auto entries = all ? analyzer.Analyze(rules) : analyzer.FindSharedModeWrites(rules);
     ReportSection& section = AddSection(doc, "modes");
     if (entries.empty()) {
       AddTextNode(section, "empty",
@@ -249,7 +245,8 @@ class ModesPass : public AnalysisPass {
 };
 
 // `lockdoc report`: the full analysis document. Thin shim over
-// RenderReport, which itself draws everything from the shared context.
+// BuildReportDocument, which itself draws everything from the shared
+// context.
 class ReportPass : public AnalysisPass {
  public:
   std::string_view name() const override { return "report"; }
@@ -259,12 +256,7 @@ class ReportPass : public AnalysisPass {
 
   Status Build(AnalysisContext& context, const PassOptions& opts,
                ReportDocument& doc) const override {
-    ReportOptions options;
-    options.documented_rules_text = opts.documented_rules_text;
-    options.full_documentation = opts.report_full;
-    options.max_violation_examples = opts.violation_limit;
-    options.forensics_filter = opts.forensics_filter;
-    ReportDocument report = BuildReportDocument(context, options);
+    ReportDocument report = BuildReportDocument(context, opts);
     for (ReportSection& section : report.sections) {
       doc.sections.push_back(std::move(section));
     }

@@ -1,6 +1,5 @@
 #include "src/core/mode_analysis.h"
 
-#include <algorithm>
 #include <limits>
 #include <optional>
 
@@ -11,17 +10,11 @@
 
 namespace lockdoc {
 
-ModeAnalyzer::ModeAnalyzer(const Database* db, const TypeRegistry* registry,
-                           const ObservationStore* store,
-                           const MemberAccessIndex* member_index,
-                           const LockPostingIndex* postings)
-    : db_(db),
-      registry_(registry),
-      store_(store),
-      member_index_(member_index),
-      postings_(postings) {
-  LOCKDOC_CHECK(db_ != nullptr && registry_ != nullptr && store_ != nullptr);
-}
+ModeAnalyzer::ModeAnalyzer(AnalysisContext& context)
+    : context_(&context),
+      db_(&context.db()),
+      registry_(&context.registry()),
+      store_(&context.observations()) {}
 
 namespace {
 
@@ -51,8 +44,8 @@ std::vector<LockRowIds> InternLockRows(const Database& db, const TypeRegistry& r
 
 }  // namespace
 
-std::vector<ModeReportEntry> ModeAnalyzer::Analyze(const std::vector<DerivationResult>& results,
-                                                   ThreadPool* pool) const {
+std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
+    const std::vector<DerivationResult>& results) const {
   const Table& txn_locks = db_->table(LockDocSchema::kTxnLocks);
   const size_t kTlTxn = txn_locks.ColumnIndex("txn_id");
   const uint64_t* tl_pos = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("position"));
@@ -65,7 +58,7 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(const std::vector<DerivationR
   // Each result fills its own slot; slots are concatenated in rule order
   // below, keeping output identical at any thread count.
   std::vector<std::optional<ModeReportEntry>> slots(results.size());
-  auto analyze_range = [&](size_t begin, size_t end) {
+  context_->pool().ParallelFor(results.size(), [&](size_t begin, size_t end) {
     struct Held {
       LockId id = kNoLockId;
       AcquireMode mode = AcquireMode::kExclusive;
@@ -85,67 +78,43 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(const std::vector<DerivationR
         entry.usages[j].lock = entry.rule[j];
       }
 
-      // A rule naming a class the pool never interned complies with no
-      // observation, so its usages stay zero. Otherwise the shared posting
-      // lists, when available, precompute the rule's complying sequences
-      // once so each group becomes a binary-search lookup.
-      std::optional<IdSeq> rule_ids = store_->pool().FindSeq(entry.rule);
-      if (!rule_ids.has_value()) {
-        continue;
-      }
-      std::vector<uint32_t> complying;
-      if (postings_ != nullptr) {
-        complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-      }
-      const std::vector<ObservationGroup>& groups = store_->GroupsFor(result.key);
-      auto visit_group = [&](const ObservationGroup& group) {
-        bool complies =
-            postings_ != nullptr
-                ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-                : IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id));
-        if (!complies) {
-          return;  // Only complying observations characterize the rule.
-        }
-        // Every lock the transaction held, by position, then a greedy
-        // subsequence match to attribute a mode to each rule lock.
-        std::vector<RowId> rows = txn_locks.LookupEqual(kTlTxn, group.txn_id);
-        held.assign(rows.size(), Held{});
-        for (RowId row : rows) {
-          uint64_t pos = tl_pos[row];
-          uint64_t lock_row = tl_lock[row];
-          LOCKDOC_CHECK(pos < held.size() && lock_row < lock_ids.size());
-          const LockRowIds& ids = lock_ids[lock_row];
-          held[pos].id = owner_alloc[lock_row] == group.alloc_id ? ids.same : ids.other;
-          held[pos].mode = static_cast<AcquireMode>(tl_mode[row]);
-        }
-        size_t rule_pos = 0;
-        for (const Held& h : held) {
-          if (rule_pos == rule_ids->size()) {
-            break;
-          }
-          if (h.id == (*rule_ids)[rule_pos]) {
-            if (h.mode == AcquireMode::kShared) {
-              ++entry.usages[rule_pos].shared;
-            } else {
-              ++entry.usages[rule_pos].exclusive;
+      // Only complying observations characterize the rule; a rule naming a
+      // class the pool never interned has none, so its usages stay zero.
+      RuleCompliance compliance = context_->Compliance(entry.rule);
+      context_->ForEachGroup(
+          result.key, result.access, compliance,
+          [&](const ObservationGroup& group, bool complies) {
+            if (!complies) {
+              return;
             }
-            ++rule_pos;
-          }
-        }
-      };
-      if (member_index_ != nullptr) {
-        if (const MemberAccessIndex::Entry* member_entry = member_index_->Find(result.key)) {
-          for (uint32_t index : member_entry->For(result.access)) {
-            visit_group(groups[index]);
-          }
-        }
-      } else {
-        for (const ObservationGroup& group : groups) {
-          if (group.effective() == result.access) {
-            visit_group(group);
-          }
-        }
-      }
+            const IdSeq& rule_ids = *compliance.ids;
+            // Every lock the transaction held, by position, then a greedy
+            // subsequence match to attribute a mode to each rule lock.
+            std::vector<RowId> rows = txn_locks.LookupEqual(kTlTxn, group.txn_id);
+            held.assign(rows.size(), Held{});
+            for (RowId row : rows) {
+              uint64_t pos = tl_pos[row];
+              uint64_t lock_row = tl_lock[row];
+              LOCKDOC_CHECK(pos < held.size() && lock_row < lock_ids.size());
+              const LockRowIds& ids = lock_ids[lock_row];
+              held[pos].id = owner_alloc[lock_row] == group.alloc_id ? ids.same : ids.other;
+              held[pos].mode = static_cast<AcquireMode>(tl_mode[row]);
+            }
+            size_t rule_pos = 0;
+            for (const Held& h : held) {
+              if (rule_pos == rule_ids.size()) {
+                break;
+              }
+              if (h.id == rule_ids[rule_pos]) {
+                if (h.mode == AcquireMode::kShared) {
+                  ++entry.usages[rule_pos].shared;
+                } else {
+                  ++entry.usages[rule_pos].exclusive;
+                }
+                ++rule_pos;
+              }
+            }
+          });
 
       if (result.access == AccessType::kWrite) {
         for (const ModeUsage& usage : entry.usages) {
@@ -155,12 +124,7 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(const std::vector<DerivationR
         }
       }
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(results.size(), analyze_range);
-  } else {
-    analyze_range(0, results.size());
-  }
+  });
 
   std::vector<ModeReportEntry> entries;
   for (std::optional<ModeReportEntry>& slot : slots) {
@@ -172,8 +136,8 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(const std::vector<DerivationR
 }
 
 std::vector<ModeReportEntry> ModeAnalyzer::FindSharedModeWrites(
-    const std::vector<DerivationResult>& results, ThreadPool* pool) const {
-  std::vector<ModeReportEntry> all = Analyze(results, pool);
+    const std::vector<DerivationResult>& results) const {
+  std::vector<ModeReportEntry> all = Analyze(results);
   std::erase_if(all, [](const ModeReportEntry& entry) { return !entry.suspicious; });
   return all;
 }
@@ -195,14 +159,6 @@ std::string ModeAnalyzer::RenderEntry(const ModeReportEntry& entry) const {
                      static_cast<unsigned long long>(usage.shared),
                      static_cast<unsigned long long>(usage.exclusive),
                      usage.shared_fraction() * 100.0);
-  }
-  return out;
-}
-
-std::string ModeAnalyzer::Render(const std::vector<ModeReportEntry>& entries) const {
-  std::string out;
-  for (const ModeReportEntry& entry : entries) {
-    out += RenderEntry(entry);
   }
   return out;
 }

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "src/core/analysis_context.h"
 #include "src/core/derivator.h"
 #include "src/db/database.h"
 #include "src/model/type_registry.h"
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 
@@ -44,38 +44,29 @@ struct ModeReportEntry {
 
 class ModeAnalyzer {
  public:
-  // All of `db`, `registry`, `store` must outlive the analyzer. The optional
-  // shared indexes (typically owned by an AnalysisContext) replace the
-  // per-rule store re-scans; entries are identical with or without them.
-  ModeAnalyzer(const Database* db, const TypeRegistry* registry,
-               const ObservationStore* store,
-               const MemberAccessIndex* member_index = nullptr,
-               const LockPostingIndex* postings = nullptr);
+  // Analyzes `context`'s snapshot. `context` must outlive the analyzer and
+  // carry a type registry.
+  explicit ModeAnalyzer(AnalysisContext& context);
 
   // Annotates every derivation result with a non-empty winner. Each
   // complying group's held locks are walked in acquisition order, as
   // ClassifyHeldLocks lists them, and greedily matched against the winner on
-  // interned lock ids. Results are sharded over `pool` when given; entries
+  // interned lock ids. Results are sharded over the context's pool; entries
   // are in `results` order at any thread count.
-  std::vector<ModeReportEntry> Analyze(const std::vector<DerivationResult>& results,
-                                       ThreadPool* pool = nullptr) const;
+  std::vector<ModeReportEntry> Analyze(const std::vector<DerivationResult>& results) const;
 
   // Only the suspicious entries (writes under shared holds).
   std::vector<ModeReportEntry> FindSharedModeWrites(
-      const std::vector<DerivationResult>& results, ThreadPool* pool = nullptr) const;
+      const std::vector<DerivationResult>& results) const;
 
   // Text rendering of one entry (the report IR keeps one node per entry).
   std::string RenderEntry(const ModeReportEntry& entry) const;
 
-  // Text rendering of a report: the concatenated entries.
-  std::string Render(const std::vector<ModeReportEntry>& entries) const;
-
  private:
+  AnalysisContext* context_;
   const Database* db_;
   const TypeRegistry* registry_;
   const ObservationStore* store_;
-  const MemberAccessIndex* member_index_;
-  const LockPostingIndex* postings_;
 };
 
 }  // namespace lockdoc

@@ -143,11 +143,6 @@ const MemberAccessIndex::Entry* MemberAccessIndex::Find(const MemberObsKey& key)
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-uint64_t MemberAccessIndex::Count(const MemberObsKey& key, AccessType access) const {
-  const Entry* entry = Find(key);
-  return entry == nullptr ? 0 : entry->For(access).size();
-}
-
 const std::vector<uint32_t> LockPostingIndex::kEmptyPostings;
 
 LockPostingIndex LockPostingIndex::Build(const ObservationStore& store) {

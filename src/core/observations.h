@@ -116,11 +116,11 @@ class ObservationStore {
 // Per-(member, access-type) view over a store's observation groups: for
 // every observed member, the indices (into GroupsFor(key)) of the groups
 // whose *effective* access type is read resp. write. Built once from a
-// store and then shared read-only by every analysis consumer — the checker,
-// the violation finder, and the mode analyzer all need "the write
-// observations of member m" and previously each re-scanned (and re-filtered
-// by effective()) the full group list per query. The index is a pure
-// function of the store, so it is deterministic at any thread count.
+// store and then shared read-only by AnalysisContext::ForEachGroup, the
+// group walk behind the checker, the violation finder and the mode
+// analyzer, which all ask for "the write observations of member m". The
+// index is a pure function of the store, so it is deterministic at any
+// thread count.
 class MemberAccessIndex {
  public:
   struct Entry {
@@ -137,9 +137,6 @@ class MemberAccessIndex {
 
   // nullptr when the member was never observed.
   const Entry* Find(const MemberObsKey& key) const;
-
-  // O(1) equivalent of ObservationStore::CountObservations.
-  uint64_t Count(const MemberObsKey& key, AccessType access) const;
 
  private:
   std::map<MemberObsKey, Entry> entries_;

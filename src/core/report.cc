@@ -8,13 +8,12 @@
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/db/schema.h"
-#include "src/report/render_text.h"
 #include "src/util/stats.h"
 #include "src/util/string_util.h"
 
 namespace lockdoc {
 
-ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions& options) {
+ReportDocument BuildReportDocument(AnalysisContext& context, const PassOptions& opts) {
   const TypeRegistry& registry = context.registry();
   const AnalysisSnapshot& snapshot = context.snapshot();
   const std::vector<DerivationResult>& derived = context.rules();
@@ -46,21 +45,20 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   }
 
   // --- Documentation validation (Tab. 4) ---
-  if (!options.documented_rules_text.empty()) {
+  if (!opts.documented_rules_text.empty()) {
     ReportSection& section =
         AddHeadedSection(doc, "rule-validation", "documented-rule validation");
-    auto rules = RuleSet::ParseText(options.documented_rules_text);
+    auto rules = RuleSet::ParseText(opts.documented_rules_text);
     if (!rules.ok()) {
       ReportNode& node = AddTextNode(
           section, "parse-error", "rule parse error: " + rules.status().message() + "\n");
       node.fields = {{"error", rules.status().message()}};
     } else {
-      RuleChecker checker(&registry, &snapshot.observations, &context.member_access_index(),
-                          &context.lock_postings());
+      RuleChecker checker(context);
       ReportNode& node = AddTable(section, "validation-summary",
                                   {"Data Type", "#R", "#No", "#Ob", "! (%)", "~ (%)", "# (%)"});
       for (const RuleCheckSummary& s :
-           RuleChecker::Summarize(checker.CheckAll(rules.value(), &context.pool()))) {
+           RuleChecker::Summarize(checker.CheckAll(rules.value()))) {
         node.table.rows.push_back(
             {s.type_name, std::to_string(s.documented), std::to_string(s.unobserved),
              std::to_string(s.observed), StrFormat("%.2f", s.correct_pct()),
@@ -97,7 +95,7 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
     }
   }
 
-  if (options.full_documentation) {
+  if (opts.report_full) {
     ReportSection& section =
         AddHeadedSection(doc, "generated-documentation", "generated documentation");
     DocGenerator generator(&registry);
@@ -117,9 +115,8 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   {
     ReportSection& section =
         AddHeadedSection(doc, "violations", "locking-rule violations");
-    ViolationFinder finder(&snapshot.db, &registry, &snapshot.observations,
-                           &context.member_access_index(), &context.lock_postings());
-    std::vector<Violation> violations = finder.FindAll(derived, &context.pool());
+    ViolationFinder finder(context);
+    std::vector<Violation> violations = finder.FindAll(derived);
     ReportNode& table = AddTable(section, "violation-summary",
                                  {"Data Type", "Events", "Members", "Contexts"});
     uint64_t total = 0;
@@ -135,8 +132,8 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
         section, "total-events",
         StrFormat("total violating events: %s\n", FormatWithCommas(total).c_str()));
     total_node.fields = {{"total_violating_events", std::to_string(total)}};
-    ViolationForensics forensics = finder.Forensics(
-        violations, options.max_violation_examples, options.forensics_filter.get());
+    ViolationForensics forensics =
+        finder.Forensics(violations, opts.violation_limit, opts.forensics_filter.get());
     for (CexGroupData& group : forensics.groups) {
       group.report_style = true;
       AddCexGroup(section, std::move(group));
@@ -145,7 +142,7 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   }
 
   // --- Lock ordering ---
-  if (options.lock_order) {
+  {
     ReportSection& section = AddHeadedSection(doc, "lock-order", "lock ordering");
     const LockOrderGraph& graph = context.lock_order_graph();
     auto conflicts = graph.ConflictingPairs();
@@ -174,12 +171,11 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   }
 
   // --- Acquisition modes ---
-  if (options.modes) {
+  {
     ReportSection& section =
         AddHeadedSection(doc, "modes", "reader/writer acquisition modes");
-    ModeAnalyzer analyzer(&snapshot.db, &registry, &snapshot.observations,
-                          &context.member_access_index(), &context.lock_postings());
-    auto suspicious = analyzer.FindSharedModeWrites(derived, &context.pool());
+    ModeAnalyzer analyzer(context);
+    auto suspicious = analyzer.FindSharedModeWrites(derived);
     if (suspicious.empty()) {
       AddTextNode(section, "empty", "no writes under merely-shared holds\n");
     } else {
@@ -196,21 +192,6 @@ ReportDocument BuildReportDocument(AnalysisContext& context, const ReportOptions
   }
 
   return doc;
-}
-
-std::string RenderReport(AnalysisContext& context, const ReportOptions& options) {
-  return RenderReportText(BuildReportDocument(context, options));
-}
-
-std::string RenderReport(const TypeRegistry& registry, const PipelineResult& result,
-                         const ReportOptions& options) {
-  // Serial one-shot context; output is byte-identical at any jobs value, so
-  // a single thread keeps this convenience path lightweight.
-  AnalysisOptions context_options;
-  context_options.pipeline.jobs = 1;
-  AnalysisContext context(&result.snapshot, &registry, std::move(context_options));
-  context.SeedRules(result.rules);  // Copies; `result` stays usable.
-  return RenderReport(context, options);
 }
 
 }  // namespace lockdoc

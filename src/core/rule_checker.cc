@@ -1,9 +1,6 @@
 #include "src/core/rule_checker.h"
 
-#include <algorithm>
 #include <map>
-
-#include "src/util/logging.h"
 
 namespace lockdoc {
 
@@ -33,13 +30,8 @@ double RuleCheckSummary::incorrect_pct() const {
                        : 100.0 * static_cast<double>(incorrect) / static_cast<double>(observed);
 }
 
-RuleChecker::RuleChecker(const TypeRegistry* registry, const ObservationStore* store,
-                         const MemberAccessIndex* member_index,
-                         const LockPostingIndex* postings)
-    : registry_(registry), store_(store), member_index_(member_index), postings_(postings) {
-  LOCKDOC_CHECK(registry_ != nullptr);
-  LOCKDOC_CHECK(store_ != nullptr);
-}
+RuleChecker::RuleChecker(AnalysisContext& context)
+    : context_(&context), registry_(&context.registry()) {}
 
 RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
   RuleCheckResult result;
@@ -75,54 +67,19 @@ RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
     subclasses.push_back(*sub);
   }
 
-  // Intern the documented rule once; a rule naming a lock class that was
-  // never observed cannot comply with any interned observation, so only the
-  // totals count for it. With the shared posting lists, the rule's
-  // complying-sequence set is computed once here and each group below is a
-  // binary-search lookup instead of a subsequence scan.
-  std::optional<IdSeq> rule_ids = store_->pool().FindSeq(rule.locks);
-  std::vector<uint32_t> complying;
-  bool have_complying = false;
-  if (postings_ != nullptr && rule_ids.has_value()) {
-    complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-    have_complying = true;
-  }
-  auto group_complies = [&](const ObservationGroup& group) {
-    if (!rule_ids.has_value()) {
-      return false;
-    }
-    return have_complying
-               ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-               : IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id));
-  };
+  // The rule's complying sequences are computed once and shared by every
+  // subclass population.
+  RuleCompliance compliance = context_->Compliance(rule.locks);
   for (SubclassId sub : subclasses) {
     MemberObsKey key;
     key.type = *type;
     key.subclass = sub;
     key.member = *member;
-    const std::vector<ObservationGroup>& groups = store_->GroupsFor(key);
-    if (member_index_ != nullptr) {
-      const MemberAccessIndex::Entry* entry = member_index_->Find(key);
-      if (entry == nullptr) {
-        continue;
-      }
-      for (uint32_t index : entry->For(rule.access)) {
-        ++result.total;
-        if (group_complies(groups[index])) {
-          ++result.sa;
-        }
-      }
-      continue;
-    }
-    for (const ObservationGroup& group : groups) {
-      if (group.effective() != rule.access) {
-        continue;
-      }
-      ++result.total;
-      if (group_complies(group)) {
-        ++result.sa;
-      }
-    }
+    context_->ForEachGroup(key, rule.access, compliance,
+                           [&](const ObservationGroup& /*group*/, bool complies) {
+                             ++result.total;
+                             result.sa += complies ? 1 : 0;
+                           });
   }
 
   if (result.total == 0) {
@@ -140,19 +97,13 @@ RuleCheckResult RuleChecker::Check(const LockingRule& rule) const {
   return result;
 }
 
-std::vector<RuleCheckResult> RuleChecker::CheckAll(const RuleSet& rules,
-                                                   ThreadPool* pool) const {
+std::vector<RuleCheckResult> RuleChecker::CheckAll(const RuleSet& rules) const {
   std::vector<RuleCheckResult> results(rules.size());
-  auto check_range = [&](size_t begin, size_t end) {
+  context_->pool().ParallelFor(rules.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       results[i] = Check(rules.rules()[i]);
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(rules.size(), check_range);
-  } else {
-    check_range(0, rules.size());
-  }
+  });
   return results;
 }
 

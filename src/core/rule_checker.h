@@ -8,10 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/observations.h"
+#include "src/core/analysis_context.h"
 #include "src/core/rule.h"
-#include "src/model/type_registry.h"
-#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 
@@ -49,31 +47,25 @@ struct RuleCheckSummary {
 
 class RuleChecker {
  public:
-  // The index pair is optional and shared (typically owned by an
-  // AnalysisContext): `member_index` serves the per-access observation
-  // split, `postings` the per-rule complying-sequence precompute. Verdicts
-  // are identical with or without them — the indexes only skip re-scans.
-  RuleChecker(const TypeRegistry* registry, const ObservationStore* store,
-              const MemberAccessIndex* member_index = nullptr,
-              const LockPostingIndex* postings = nullptr);
+  // Checks against `context`'s observations. `context` must outlive the
+  // checker and carry a type registry.
+  explicit RuleChecker(AnalysisContext& context);
 
   // Checks one documented rule. A rule without a subclass qualifier is
   // evaluated against the union of all subclasses of its type.
   RuleCheckResult Check(const LockingRule& rule) const;
 
-  // Checks every rule, distributed over `pool` when given (nullptr runs
-  // serially). Each rule writes its own result slot, so the returned vector
-  // is byte-identical at any thread count.
-  std::vector<RuleCheckResult> CheckAll(const RuleSet& rules, ThreadPool* pool = nullptr) const;
+  // Checks every rule, distributed over the context's pool. Each rule
+  // writes its own result slot, so the returned vector is byte-identical at
+  // any thread count.
+  std::vector<RuleCheckResult> CheckAll(const RuleSet& rules) const;
 
   // Groups results by the rule's type name (Tab. 4 rows).
   static std::vector<RuleCheckSummary> Summarize(const std::vector<RuleCheckResult>& results);
 
  private:
+  AnalysisContext* context_;
   const TypeRegistry* registry_;
-  const ObservationStore* store_;
-  const MemberAccessIndex* member_index_;
-  const LockPostingIndex* postings_;
 };
 
 }  // namespace lockdoc

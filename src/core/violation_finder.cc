@@ -11,19 +11,11 @@
 
 namespace lockdoc {
 
-ViolationFinder::ViolationFinder(const Database* db, const TypeRegistry* registry,
-                                 const ObservationStore* store,
-                                 const MemberAccessIndex* member_index,
-                                 const LockPostingIndex* postings)
-    : db_(db),
-      registry_(registry),
-      store_(store),
-      member_index_(member_index),
-      postings_(postings) {
-  LOCKDOC_CHECK(db_ != nullptr);
-  LOCKDOC_CHECK(registry_ != nullptr);
-  LOCKDOC_CHECK(store_ != nullptr);
-}
+ViolationFinder::ViolationFinder(AnalysisContext& context)
+    : context_(&context),
+      db_(&context.db()),
+      registry_(&context.registry()),
+      store_(&context.observations()) {}
 
 ViolationFinder::AccessContext ViolationFinder::ContextOf(uint64_t seq) const {
   const Table& accesses = db_->table(LockDocSchema::kAccesses);
@@ -42,77 +34,42 @@ ViolationFinder::AccessContext ViolationFinder::ContextOf(uint64_t seq) const {
   return context;
 }
 
-std::vector<Violation> ViolationFinder::FindAll(const std::vector<DerivationResult>& results,
-                                                ThreadPool* pool) const {
+std::vector<Violation> ViolationFinder::FindAll(
+    const std::vector<DerivationResult>& results) const {
   // Each derivation result fills its own slot; slots are concatenated in
   // rule order below, keeping output identical at any thread count.
   std::vector<std::vector<Violation>> slots(results.size());
-  auto find_range = [&](size_t begin, size_t end) {
+  context_->pool().ParallelFor(results.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const DerivationResult& result = results[i];
       if (!result.winner.has_value() || result.winner->is_no_lock() ||
           result.winner->sr >= 1.0) {
         continue;
       }
-      // Winners come from observed combinations, so their classes are
-      // always interned; compare ids in the scan and materialize the held
-      // strings only for actual violations. A hand-built result with
-      // unknown classes falls back to the string comparison. With the
-      // shared posting lists the rule's complying sequences are computed
-      // once up front and each group is a binary-search lookup.
-      std::optional<IdSeq> rule_ids = store_->pool().FindSeq(result.winner->locks);
-      std::vector<uint32_t> complying;
-      bool have_complying = false;
-      if (postings_ != nullptr && rule_ids.has_value()) {
-        complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-        have_complying = true;
-      }
-      const std::vector<ObservationGroup>& groups = store_->GroupsFor(result.key);
-      auto visit_group = [&](const ObservationGroup& group) {
-        const LockSeq& held = store_->seq(group.lockseq_id);
-        bool complies =
-            have_complying
-                ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-                : (rule_ids.has_value()
-                       ? IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id))
-                       : IsSubsequence(result.winner->locks, held));
-        if (complies) {
-          return;
-        }
-        Violation violation;
-        violation.key = result.key;
-        violation.access = result.access;
-        violation.rule = result.winner->locks;
-        violation.held = held;
-        for (uint64_t seq : group.seqs) {
-          if (static_cast<AccessType>(ContextOf(seq).access_type) == result.access) {
-            violation.seqs.push_back(seq);
-          }
-        }
-        if (!violation.seqs.empty()) {
-          slots[i].push_back(std::move(violation));
-        }
-      };
-      if (member_index_ != nullptr) {
-        if (const MemberAccessIndex::Entry* entry = member_index_->Find(result.key)) {
-          for (uint32_t index : entry->For(result.access)) {
-            visit_group(groups[index]);
-          }
-        }
-      } else {
-        for (const ObservationGroup& group : groups) {
-          if (group.effective() == result.access) {
-            visit_group(group);
-          }
-        }
-      }
+      // The held strings are materialized only for actual violations.
+      RuleCompliance compliance = context_->Compliance(result.winner->locks);
+      context_->ForEachGroup(
+          result.key, result.access, compliance,
+          [&](const ObservationGroup& group, bool complies) {
+            if (complies) {
+              return;
+            }
+            Violation violation;
+            violation.key = result.key;
+            violation.access = result.access;
+            violation.rule = result.winner->locks;
+            violation.held = store_->seq(group.lockseq_id);
+            for (uint64_t seq : group.seqs) {
+              if (static_cast<AccessType>(ContextOf(seq).access_type) == result.access) {
+                violation.seqs.push_back(seq);
+              }
+            }
+            if (!violation.seqs.empty()) {
+              slots[i].push_back(std::move(violation));
+            }
+          });
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(results.size(), find_range);
-  } else {
-    find_range(0, results.size());
-  }
+  });
 
   std::vector<Violation> violations;
   for (std::vector<Violation>& slot : slots) {
@@ -209,28 +166,6 @@ std::vector<const ViolationFinder::ContextMap::value_type*> ViolationFinder::Sor
   return sorted;
 }
 
-std::vector<ViolationExample> ViolationFinder::Examples(const std::vector<Violation>& violations,
-                                                        size_t limit) const {
-  ContextMap contexts = AggregateContexts(violations);
-  std::vector<ViolationExample> examples;
-  for (const ContextMap::value_type* entry : SortByEvidence(contexts)) {
-    if (examples.size() >= limit) {
-      break;
-    }
-    const ContextKey& key = entry->first;
-    ViolationExample example;
-    example.member = std::get<0>(key);
-    example.access = std::get<1>(key);
-    example.rule = std::get<2>(key);
-    example.held = std::get<3>(key);
-    example.location = DbFormatLoc(*db_, std::get<4>(key), std::get<5>(key));
-    example.stack = DbFormatStack(*db_, std::get<6>(key));
-    example.events = entry->second.events;
-    examples.push_back(std::move(example));
-  }
-  return examples;
-}
-
 namespace {
 
 // The function names of one recorded stack, innermost first; empty for a
@@ -258,55 +193,28 @@ std::vector<std::string> StackFunctionNames(const Database& db, uint64_t stack_i
 
 NearestComplyingAccess ViolationFinder::NearestComplying(const Violation& violation,
                                                          uint64_t rep_seq) const {
-  // Mirror FindAll's compliance test for this (member, access, rule): a
-  // group complies when the rule is a subsequence of its held locks.
-  std::optional<IdSeq> rule_ids = store_->pool().FindSeq(violation.rule);
-  std::vector<uint32_t> complying;
-  bool have_complying = false;
-  if (postings_ != nullptr && rule_ids.has_value()) {
-    complying = postings_->ComplyingSeqs(*store_, *rule_ids);
-    have_complying = true;
-  }
   NearestComplyingAccess nearest;
   uint32_t nearest_lockseq = 0;
-  auto visit_group = [&](const ObservationGroup& group) {
-    bool complies =
-        have_complying
-            ? std::binary_search(complying.begin(), complying.end(), group.lockseq_id)
-            : (rule_ids.has_value()
-                   ? IsSubsequenceIds(*rule_ids, store_->id_seq(group.lockseq_id))
-                   : IsSubsequence(violation.rule, store_->seq(group.lockseq_id)));
-    if (!complies) {
-      return;
-    }
-    for (uint64_t seq : group.seqs) {
-      if (static_cast<AccessType>(ContextOf(seq).access_type) != violation.access) {
-        continue;
-      }
-      uint64_t distance = seq > rep_seq ? seq - rep_seq : rep_seq - seq;
-      if (!nearest.present || distance < nearest.distance ||
-          (distance == nearest.distance && seq < nearest.seq)) {
-        nearest.present = true;
-        nearest.seq = seq;
-        nearest.distance = distance;
-        nearest_lockseq = group.lockseq_id;
-      }
-    }
-  };
-  const std::vector<ObservationGroup>& groups = store_->GroupsFor(violation.key);
-  if (member_index_ != nullptr) {
-    if (const MemberAccessIndex::Entry* entry = member_index_->Find(violation.key)) {
-      for (uint32_t index : entry->For(violation.access)) {
-        visit_group(groups[index]);
-      }
-    }
-  } else {
-    for (const ObservationGroup& group : groups) {
-      if (group.effective() == violation.access) {
-        visit_group(group);
-      }
-    }
-  }
+  context_->ForEachGroup(
+      violation.key, violation.access, context_->Compliance(violation.rule),
+      [&](const ObservationGroup& group, bool complies) {
+        if (!complies) {
+          return;
+        }
+        for (uint64_t seq : group.seqs) {
+          if (static_cast<AccessType>(ContextOf(seq).access_type) != violation.access) {
+            continue;
+          }
+          uint64_t distance = seq > rep_seq ? seq - rep_seq : rep_seq - seq;
+          if (!nearest.present || distance < nearest.distance ||
+              (distance == nearest.distance && seq < nearest.seq)) {
+            nearest.present = true;
+            nearest.seq = seq;
+            nearest.distance = distance;
+            nearest_lockseq = group.lockseq_id;
+          }
+        }
+      });
   if (nearest.present) {
     AccessContext context = ContextOf(nearest.seq);
     nearest.location = DbFormatLoc(*db_, context.file_sid, context.line);

@@ -395,9 +395,14 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
     // snapshot never enters the resident store.
     auto snapshot = DeserializeSnapshot(bytes.value(), *RegistryForSnapshotBytes(bytes.value()));
     if (!snapshot.ok()) {
-      return QuarantineIncoming(
-          source, name, "damaged-snapshot", snapshot.status().message(),
-          StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str()));
+      // Doctor repairs damaged LOCKDB02 files only; a magic that
+      // CheckSnapshotMagic rejects (the retired LOCKDB01) needs a re-import.
+      std::string hint =
+          CheckSnapshotMagic(bytes.value()).ok()
+              ? StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str())
+              : "re-run `lockdoc import` on the trace";
+      return QuarantineIncoming(source, name, "damaged-snapshot", snapshot.status().message(),
+                                hint);
     }
     snapshot_bytes = std::move(bytes.value());
     ack.extra.emplace_back("kind", "snapshot");

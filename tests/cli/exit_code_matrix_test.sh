@@ -86,6 +86,16 @@ expect 2 "$LOCKDOC" doctor "$DIR/mx_v1.lockdb" --repair "$DIR/mx_v1_repaired.loc
   echo "FAIL: a v1 container does not name itself and the re-import" >&2
   failures=$((failures + 1))
 }
+# Doctor cannot read or repair v1, so the CLI's hint must not point there;
+# a damaged v2 container keeps the doctor hint.
+if "$LOCKDOC" check "$DIR/mx_v1.lockdb" 2>&1 | grep -q 'doctor'; then
+  echo "FAIL: the CLI sends a v1 container to doctor" >&2
+  failures=$((failures + 1))
+fi
+"$LOCKDOC" check "$DIR/mx_damaged.lockdb" 2>&1 | grep -q 'try `lockdoc doctor' || {
+  echo "FAIL: a damaged v2 container lost its doctor hint" >&2
+  failures=$((failures + 1))
+}
 
 # A CRC-clean snapshot whose last observation-groups key names a subclass
 # the registry lacks must fail to load (1), not abort in a pass.

@@ -1,18 +1,19 @@
 // AnalysisContext and the analysis-pass framework: lazy shared indexes are
-// memoized (built at most once, timed at most once), index-backed analyzers
-// agree exactly with the index-free originals, and pass outputs are
-// invariant across thread counts.
+// memoized (built at most once, timed at most once), the analyzers' group
+// walk agrees exactly with a brute-force scan of the store, and pass
+// outputs are invariant across thread counts.
 #include "src/core/analysis_context.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "src/core/analysis_pass.h"
-#include "src/core/mode_analysis.h"
-#include "src/core/report.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
+#include "src/db/schema.h"
+#include "src/vfs/mm_kernel.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -107,13 +108,6 @@ TEST_F(AnalysisContextTest, ConcurrentFirstUseBuildsOnce) {
   EXPECT_EQ(CountPhase(context.timings(), "rule derivation (interned)"), 1u);
 }
 
-TEST_F(AnalysisContextTest, SeedRulesShortCircuitsDerivation) {
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  context.SeedRules({});
-  EXPECT_TRUE(context.rules().empty());
-  EXPECT_EQ(CountPhase(context.timings(), "rule derivation (interned)"), 0u);
-}
-
 TEST_F(AnalysisContextTest, TakeRulesMovesTheMemoizedSet) {
   AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
   size_t derived = context.rules().size();
@@ -135,7 +129,6 @@ TEST_F(AnalysisContextTest, MemberAccessIndexMatchesEffectiveScan) {
         }
       }
       EXPECT_EQ(entry->For(access), expected);
-      EXPECT_EQ(index.Count(key, access), store.CountObservations(key, access));
     }
   }
 }
@@ -165,60 +158,138 @@ TEST_F(AnalysisContextTest, ComplyingSeqsMatchesBruteForce) {
   EXPECT_GT(rules_checked, 0u);
 }
 
-TEST_F(AnalysisContextTest, IndexedCheckerMatchesPlain) {
-  auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
-  ASSERT_TRUE(rules.ok());
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  RuleChecker plain(sim_->registry.get(), &snapshot_->observations);
-  RuleChecker indexed(sim_->registry.get(), &snapshot_->observations,
-                      &context.member_access_index(), &context.lock_postings());
-  std::vector<RuleCheckResult> a = plain.CheckAll(rules.value());
-  std::vector<RuleCheckResult> b = indexed.CheckAll(rules.value());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].verdict, b[i].verdict);
-    EXPECT_EQ(a[i].sa, b[i].sa);
-    EXPECT_EQ(a[i].total, b[i].total);
-    EXPECT_DOUBLE_EQ(a[i].sr, b[i].sr);
+// The plain reference of RuleChecker::Check: every group of the rule's
+// member populations, filtered by effective() and tested with the string
+// IsSubsequence. Returns (sa, total).
+std::pair<uint64_t, uint64_t> PlainSupport(const TypeRegistry& registry,
+                                           const ObservationStore& store,
+                                           const LockingRule& rule) {
+  uint64_t sa = 0;
+  uint64_t total = 0;
+  for (const auto& [key, groups] : store.groups()) {
+    const TypeLayout& layout = registry.layout(key.type);
+    if (layout.name() != rule.member.type_name ||
+        layout.member(key.member).name != rule.member.member_name ||
+        (!rule.member.subclass.empty() &&
+         registry.SubclassName(key.type, key.subclass) != rule.member.subclass)) {
+      continue;
+    }
+    for (const ObservationGroup& group : groups) {
+      if (group.effective() == rule.access) {
+        ++total;
+        sa += IsSubsequence(rule.locks, store.seq(group.lockseq_id)) ? 1 : 0;
+      }
+    }
   }
+  return {sa, total};
+}
+
+// The plain reference of ViolationFinder::FindAll, with each group's
+// accesses typed by a scan of the accesses table.
+std::vector<Violation> PlainViolations(const AnalysisSnapshot& snapshot,
+                                       const std::vector<DerivationResult>& results) {
+  const Table& accesses = snapshot.db.table(LockDocSchema::kAccesses);
+  const size_t kSeq = accesses.ColumnIndex("seq");
+  const size_t kType = accesses.ColumnIndex("access_type");
+  std::map<uint64_t, AccessType> type_of;
+  for (RowId row = 0; row < accesses.row_count(); ++row) {
+    type_of[accesses.GetUint64(row, kSeq)] =
+        static_cast<AccessType>(accesses.GetUint64(row, kType));
+  }
+  const ObservationStore& store = snapshot.observations;
+  std::vector<Violation> violations;
+  for (const DerivationResult& result : results) {
+    if (!result.winner.has_value() || result.winner->is_no_lock() ||
+        result.winner->sr >= 1.0) {
+      continue;
+    }
+    for (const ObservationGroup& group : store.GroupsFor(result.key)) {
+      const LockSeq& held = store.seq(group.lockseq_id);
+      if (group.effective() != result.access || IsSubsequence(result.winner->locks, held)) {
+        continue;
+      }
+      Violation violation{result.key, result.access, result.winner->locks, held, {}};
+      for (uint64_t seq : group.seqs) {
+        if (type_of.at(seq) == result.access) {
+          violation.seqs.push_back(seq);
+        }
+      }
+      if (!violation.seqs.empty()) {
+        violations.push_back(std::move(violation));
+      }
+    }
+  }
+  return violations;
+}
+
+// A vfs world (the fixture's) and an mm world, each with its documented
+// rules, for the checks against the plain references at 1, 2 and 8 jobs.
+struct World {
+  const AnalysisSnapshot* snapshot;
+  const TypeRegistry* registry;
+  std::string documented_rules;
+};
+
+template <typename Check>
+void ForEachWorldAtAnyJobs(const World& vfs, Check&& check) {
+  MixOptions mix;
+  mix.ops = 3000;
+  mix.seed = 7;
+  SimulationResult mm_sim = SimulateMmRun(mix, FaultPlan{});
+  PipelineOptions pipeline;
+  pipeline.filter = VfsKernel::MakeFilterConfig();
+  AnalysisSnapshot mm_snapshot = BuildSnapshot(mm_sim.trace, *mm_sim.registry, pipeline);
+  const World mm{&mm_snapshot, mm_sim.registry.get(), MmKernel::DocumentedRulesText()};
+  for (const World* world : {&vfs, &mm}) {
+    for (size_t jobs : {1, 2, 8}) {
+      SCOPED_TRACE(testing::Message() << "world " << (world == &vfs ? "vfs" : "mm")
+                                      << " jobs " << jobs);
+      AnalysisOptions options;
+      options.pipeline.jobs = jobs;
+      AnalysisContext context(world->snapshot, world->registry, options);
+      check(*world, context);
+    }
+  }
+}
+
+TEST_F(AnalysisContextTest, IndexedCheckerMatchesPlain) {
+  World vfs{snapshot_, sim_->registry.get(), VfsKernel::DocumentedRulesText()};
+  ForEachWorldAtAnyJobs(vfs, [](const World& world, AnalysisContext& context) {
+    auto rules = RuleSet::ParseText(world.documented_rules);
+    ASSERT_TRUE(rules.ok());
+    std::vector<RuleCheckResult> checked = RuleChecker(context).CheckAll(rules.value());
+    ASSERT_EQ(checked.size(), rules.value().size());
+    uint64_t observed = 0;
+    for (const RuleCheckResult& result : checked) {
+      SCOPED_TRACE(result.rule.ToString());
+      auto [sa, total] = PlainSupport(*world.registry, world.snapshot->observations, result.rule);
+      EXPECT_EQ(result.sa, sa);
+      EXPECT_EQ(result.total, total);
+      EXPECT_EQ(result.verdict == RuleVerdict::kUnobserved, total == 0);
+      observed += total;
+    }
+    EXPECT_GT(observed, 0u);
+  });
 }
 
 TEST_F(AnalysisContextTest, IndexedFinderMatchesPlain) {
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  const std::vector<DerivationResult>& rules = context.rules();
-  ViolationFinder plain(&snapshot_->db, sim_->registry.get(), &snapshot_->observations);
-  ViolationFinder indexed(&snapshot_->db, sim_->registry.get(), &snapshot_->observations,
-                          &context.member_access_index(), &context.lock_postings());
-  std::vector<Violation> a = plain.FindAll(rules);
-  std::vector<Violation> b = indexed.FindAll(rules);
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_FALSE(a.empty());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(LockSeqToString(a[i].rule), LockSeqToString(b[i].rule));
-    EXPECT_EQ(LockSeqToString(a[i].held), LockSeqToString(b[i].held));
-    EXPECT_EQ(a[i].seqs, b[i].seqs);
-  }
-}
-
-TEST_F(AnalysisContextTest, IndexedModesMatchPlain) {
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  const std::vector<DerivationResult>& rules = context.rules();
-  ModeAnalyzer plain(&snapshot_->db, sim_->registry.get(), &snapshot_->observations);
-  ModeAnalyzer indexed(&snapshot_->db, sim_->registry.get(), &snapshot_->observations,
-                       &context.member_access_index(), &context.lock_postings());
-  EXPECT_EQ(plain.Render(plain.Analyze(rules)), indexed.Render(indexed.Analyze(rules)));
-}
-
-TEST_F(AnalysisContextTest, ReportOverloadsAgree) {
-  PipelineResult result;
-  result.snapshot = BuildSnapshot(sim_->trace, *sim_->registry, DefaultOptions().pipeline);
-  result.rules = AnalyzeSnapshot(result.snapshot, DefaultOptions().pipeline);
-  ReportOptions options;
-  options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  options.full_documentation = true;
-  std::string legacy = RenderReport(*sim_->registry, result, options);
-  AnalysisContext context(snapshot_, sim_->registry.get(), DefaultOptions());
-  EXPECT_EQ(RenderReport(context, options), legacy);
+  World vfs{snapshot_, sim_->registry.get(), VfsKernel::DocumentedRulesText()};
+  ForEachWorldAtAnyJobs(vfs, [&](const World& world, AnalysisContext& context) {
+    const std::vector<DerivationResult>& rules = context.rules();
+    std::vector<Violation> expected = PlainViolations(*world.snapshot, rules);
+    std::vector<Violation> found = ViolationFinder(context).FindAll(rules);
+    ASSERT_EQ(found.size(), expected.size());
+    if (world.snapshot == snapshot_) {
+      EXPECT_FALSE(found.empty());
+    }
+    for (size_t i = 0; i < found.size(); ++i) {
+      EXPECT_EQ(found[i].key, expected[i].key);
+      EXPECT_EQ(found[i].access, expected[i].access);
+      EXPECT_EQ(LockSeqToString(found[i].rule), LockSeqToString(expected[i].rule));
+      EXPECT_EQ(LockSeqToString(found[i].held), LockSeqToString(expected[i].held));
+      EXPECT_EQ(found[i].seqs, expected[i].seqs);
+    }
+  });
 }
 
 TEST_F(AnalysisContextTest, RegistryHasCanonicalPassOrder) {

@@ -25,7 +25,8 @@ TEST(DocgenRoundtripTest, GeneratedRulesValidateAgainstTheirOwnTrace) {
   PipelineResult result = RunPipeline(sim.trace, *sim.registry, options);
 
   DocGenerator generator(sim.registry.get());
-  RuleChecker checker(sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  RuleChecker checker(context);
 
   size_t checked = 0;
   for (TypeId type = 0; type < sim.registry->type_count(); ++type) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -17,15 +18,14 @@ namespace {
 
 struct ModeWorld {
   TestWorld world;
-  Database db;
-  ObservationStore store;
+  AnalysisSnapshot snapshot;
+  std::unique_ptr<AnalysisContext> context;
   std::vector<DerivationResult> rules;
 
   void Finish() {
-    world.Import(&db);
-    store = ExtractObservations(db, *world.registry);
-    RuleDerivator derivator;
-    rules = derivator.DeriveAll(store);
+    snapshot = world.Snapshot();
+    context = std::make_unique<AnalysisContext>(&snapshot, world.registry.get());
+    rules = context->rules();
   }
 };
 
@@ -43,7 +43,7 @@ TEST(ModeAnalysisTest, ExclusiveOnlyWritesAreNotSuspicious) {
     m.world.sim->Destroy(obj, 5);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto entries = analyzer.Analyze(m.rules);
   ASSERT_FALSE(entries.empty());
   for (const ModeReportEntry& entry : entries) {
@@ -71,7 +71,7 @@ TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
     m.world.sim->Destroy(obj, 8);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto suspicious = analyzer.FindSharedModeWrites(m.rules);
   ASSERT_EQ(suspicious.size(), 1u);
   ASSERT_EQ(suspicious[0].usages.size(), 1u);
@@ -79,7 +79,10 @@ TEST(ModeAnalysisTest, WriteUnderSharedHoldIsFlagged) {
   EXPECT_EQ(suspicious[0].usages[0].exclusive, 4u);
   EXPECT_NEAR(suspicious[0].usages[0].shared_fraction(), 0.2, 1e-9);
 
-  std::string text = analyzer.Render(suspicious);
+  std::string text;
+  for (const ModeReportEntry& entry : suspicious) {
+    text += analyzer.RenderEntry(entry);
+  }
   EXPECT_NE(text.find("write under shared hold"), std::string::npos);
   EXPECT_NE(text.find("shared=1 exclusive=4"), std::string::npos);
 }
@@ -98,7 +101,7 @@ TEST(ModeAnalysisTest, SharedReadsAreFine) {
     m.world.sim->Destroy(obj, 5);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   auto entries = analyzer.Analyze(m.rules);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].access, AccessType::kRead);
@@ -115,7 +118,7 @@ TEST(ModeAnalysisTest, NoLockWinnersAreSkipped) {
     m.world.sim->Destroy(obj, 3);
   }
   m.Finish();
-  ModeAnalyzer analyzer(&m.db, m.world.registry.get(), &m.store);
+  ModeAnalyzer analyzer(*m.context);
   EXPECT_TRUE(analyzer.Analyze(m.rules).empty());
 }
 
@@ -203,8 +206,8 @@ AnalysisOptions ModeOptions() {
   return options;
 }
 
-// Every winner's per-lock usages (`modes --all`) equal the reference, with
-// and without the context's shared indexes, serially and at 1, 2 and 8 jobs.
+// Every winner's per-lock usages (`modes --all`) equal the reference at 1,
+// 2 and 8 jobs.
 void ExpectModesMatchReference(const AnalysisSnapshot& snapshot,
                                const TypeRegistry& registry) {
   AnalysisOptions options = ModeOptions();
@@ -218,12 +221,7 @@ void ExpectModesMatchReference(const AnalysisSnapshot& snapshot,
       expected = ReferenceModes(snapshot.db, registry, snapshot.observations, rules);
       ASSERT_FALSE(expected.empty());
     }
-    ModeAnalyzer plain(&snapshot.db, &registry, &snapshot.observations);
-    ModeAnalyzer indexed(&snapshot.db, &registry, &snapshot.observations,
-                         &context.member_access_index(), &context.lock_postings());
-    ExpectSameEntries(plain.Analyze(rules), expected);
-    ExpectSameEntries(plain.Analyze(rules, &context.pool()), expected);
-    ExpectSameEntries(indexed.Analyze(rules, &context.pool()), expected);
+    ExpectSameEntries(ModeAnalyzer(context).Analyze(rules), expected);
   }
 }
 
@@ -266,13 +264,12 @@ TEST(ModeAttributionTest, RangeLockHeldTwiceCreditsItsFirstHold) {
     }
     sim.Destroy(obj, 7);
   }
-  Database db;
-  TraceImporter(registry.get(), FilterConfig::Defaults()).Import(trace, &db);
-  ObservationStore store = ExtractObservations(db, *registry);
-  std::vector<DerivationResult> rules = RuleDerivator().DeriveAll(store);
-  ModeAnalyzer analyzer(&db, registry.get(), &store);
-  std::vector<ModeReportEntry> entries = analyzer.Analyze(rules);
-  ExpectSameEntries(entries, ReferenceModes(db, *registry, store, rules));
+  AnalysisSnapshot snapshot = BuildSnapshot(trace, *registry);
+  AnalysisContext context(&snapshot, registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  std::vector<ModeReportEntry> entries = ModeAnalyzer(context).Analyze(rules);
+  ExpectSameEntries(entries,
+                    ReferenceModes(snapshot.db, *registry, snapshot.observations, rules));
   // Pins the current, known-wrong attribution (ROADMAP: mode attribution
   // ignores lock ranges). Only the exclusive hold covers the object, so the
   // rule is mined from it, but the walk is not range-filtered and credits

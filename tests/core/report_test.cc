@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/analysis_pass.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -15,28 +16,41 @@ class ReportTest : public ::testing::Test {
     mix.ops = 4000;
     mix.seed = 4;
     sim_ = new SimulationResult(SimulateKernelRun(mix, FaultPlan{}));
-    PipelineOptions options;
-    options.filter = VfsKernel::MakeFilterConfig();
-    result_ = new PipelineResult(RunPipeline(sim_->trace, *sim_->registry, options));
+    snapshot_ = new AnalysisSnapshot(BuildSnapshot(sim_->trace, *sim_->registry, Options()));
   }
   static void TearDownTestSuite() {
-    delete result_;
+    delete snapshot_;
     delete sim_;
-    result_ = nullptr;
+    snapshot_ = nullptr;
     sim_ = nullptr;
   }
 
+  static PipelineOptions Options() {
+    PipelineOptions options;
+    options.filter = VfsKernel::MakeFilterConfig();
+    return options;
+  }
+
+  // The text of the `report` pass over the fixture's snapshot.
+  static std::string Report(const PassOptions& opts) {
+    AnalysisContext context(snapshot_, sim_->registry.get(), {Options(), opts});
+    PassOutput out;
+    Status status = PassRegistry::Default().Find("report")->Run(context, out);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return out.text;
+  }
+
   static SimulationResult* sim_;
-  static PipelineResult* result_;
+  static AnalysisSnapshot* snapshot_;
 };
 
 SimulationResult* ReportTest::sim_ = nullptr;
-PipelineResult* ReportTest::result_ = nullptr;
+AnalysisSnapshot* ReportTest::snapshot_ = nullptr;
 
 TEST_F(ReportTest, ContainsAllSections) {
-  ReportOptions options;
-  options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  PassOptions opts;
+  opts.documented_rules_text = VfsKernel::DocumentedRulesText();
+  std::string report = Report(opts);
 
   EXPECT_NE(report.find("trace statistics"), std::string::npos);
   EXPECT_NE(report.find("documented-rule validation"), std::string::npos);
@@ -50,21 +64,21 @@ TEST_F(ReportTest, ContainsAllSections) {
   EXPECT_NE(report.find("ABBA conflicts"), std::string::npos);
 }
 
+// Without documented rules or --full the validation and documentation
+// sections are left out; every analysis section is always there.
 TEST_F(ReportTest, SectionsAreOptional) {
-  ReportOptions options;
-  options.lock_order = false;
-  options.modes = false;
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  std::string report = Report(PassOptions{});
   EXPECT_EQ(report.find("documented-rule validation"), std::string::npos);
-  EXPECT_EQ(report.find("lock ordering"), std::string::npos);
-  EXPECT_EQ(report.find("acquisition modes"), std::string::npos);
+  EXPECT_EQ(report.find("generated documentation"), std::string::npos);
   EXPECT_NE(report.find("mined locking rules"), std::string::npos);
+  EXPECT_NE(report.find("lock ordering"), std::string::npos);
+  EXPECT_NE(report.find("acquisition modes"), std::string::npos);
 }
 
 TEST_F(ReportTest, FullDocumentationIncludesCommentBlocks) {
-  ReportOptions options;
-  options.full_documentation = true;
-  std::string report = RenderReport(*sim_->registry, *result_, options);
+  PassOptions opts;
+  opts.report_full = true;
+  std::string report = Report(opts);
   EXPECT_NE(report.find("generated documentation"), std::string::npos);
   EXPECT_NE(report.find("locking rules (generated by LockDoc)"), std::string::npos);
 }

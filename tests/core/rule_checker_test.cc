@@ -32,8 +32,9 @@ LockingRule MakeRule(const std::string& member, AccessType access, const std::st
 
 TEST(RuleCheckerTest, AmbivalentRule) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)"));
   EXPECT_EQ(result.verdict, RuleVerdict::kAmbivalent);
@@ -52,8 +53,9 @@ TEST(RuleCheckerTest, CorrectRule) {
     world.sim->Unlock(obj, world.spin, 4);
     world.sim->Destroy(obj, 5);
   }
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("extra", AccessType::kWrite, "ES(w_lock in widget)"));
   EXPECT_EQ(result.verdict, RuleVerdict::kCorrect);
@@ -62,8 +64,9 @@ TEST(RuleCheckerTest, CorrectRule) {
 
 TEST(RuleCheckerTest, IncorrectRule) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result =
       checker.Check(MakeRule("data", AccessType::kWrite, "global_b"));
   EXPECT_EQ(result.verdict, RuleVerdict::kIncorrect);
@@ -72,8 +75,9 @@ TEST(RuleCheckerTest, IncorrectRule) {
 
 TEST(RuleCheckerTest, UnobservedCases) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   // Never-read member.
   EXPECT_EQ(checker.Check(MakeRule("data", AccessType::kRead, "global_a")).verdict,
             RuleVerdict::kUnobserved);
@@ -87,8 +91,9 @@ TEST(RuleCheckerTest, UnobservedCases) {
 
 TEST(RuleCheckerTest, NoLockRuleIsTriviallyCorrectWhenObserved) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleCheckResult result = checker.Check(MakeRule("data", AccessType::kWrite, "no lock"));
   EXPECT_EQ(result.verdict, RuleVerdict::kCorrect);
 }
@@ -109,8 +114,9 @@ TEST(RuleCheckerTest, SubclassScoping) {
     world.sim->Destroy(r, 7);
     world.sim->Destroy(b, 8);
   }
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
 
   LockingRule rule = MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)");
   rule.member.subclass = "red";
@@ -123,8 +129,9 @@ TEST(RuleCheckerTest, SubclassScoping) {
 
 TEST(RuleCheckerTest, SummarizeBucketsByType) {
   TestWorld world = MakeMostlyLockedWorld();
-  ObservationStore store = world.Extract();
-  RuleChecker checker(world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  RuleChecker checker(context);
   RuleSet rules;
   rules.Add(MakeRule("data", AccessType::kWrite, "ES(w_lock in widget)"));   // ~
   rules.Add(MakeRule("data", AccessType::kWrite, "global_b"));               // #

@@ -8,6 +8,7 @@
 
 #include "src/core/importer.h"
 #include "src/core/observations.h"
+#include "src/core/pipeline.h"
 #include "src/db/database.h"
 #include "src/sim/kernel.h"
 
@@ -49,11 +50,18 @@ struct TestWorld {
     return importer.Import(trace, db);
   }
 
-  // Full import + observation extraction.
+  // Full import + observation extraction, as a snapshot an AnalysisContext
+  // can view.
+  AnalysisSnapshot Snapshot(FilterConfig filter = FilterConfig::Defaults()) {
+    AnalysisSnapshot snapshot;
+    snapshot.import_stats = Import(&snapshot.db, std::move(filter));
+    snapshot.observations = ExtractObservations(snapshot.db, *registry);
+    return snapshot;
+  }
+
+  // Just the observations of Snapshot().
   ObservationStore Extract(FilterConfig filter = FilterConfig::Defaults()) {
-    Database db;
-    Import(&db, std::move(filter));
-    return ExtractObservations(db, *registry);
+    return std::move(Snapshot(std::move(filter)).observations);
   }
 
   MemberObsKey Key(MemberIndex member) const {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/pipeline.h"
+#include "src/core/analysis_context.h"
 #include "tests/core/test_helpers.h"
 
 namespace lockdoc {
@@ -28,12 +28,10 @@ TestWorld MakeBuggyWorld() {
 
 TEST(ViolationFinderTest, FindsTheLocklessWrite) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
 
   ASSERT_EQ(violations.size(), 1u);
@@ -45,13 +43,11 @@ TEST(ViolationFinderTest, FindsTheLocklessWrite) {
 
 TEST(ViolationFinderTest, ExamplesCarryContext) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
-  auto examples = finder.Examples(finder.FindAll(rules), 10);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
+  auto examples = finder.Forensics(finder.FindAll(rules), 10).groups;
 
   ASSERT_EQ(examples.size(), 1u);
   EXPECT_EQ(examples[0].member, "widget.data");
@@ -62,12 +58,10 @@ TEST(ViolationFinderTest, ExamplesCarryContext) {
 
 TEST(ViolationFinderTest, SummaryCountsEventsMembersContexts) {
   TestWorld world = MakeBuggyWorld();
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   auto summary = finder.Summarize(finder.FindAll(rules));
 
   ASSERT_EQ(summary.size(), 1u);
@@ -89,12 +83,10 @@ TEST(ViolationFinderTest, CleanWorldHasZeroViolationsButSummaryRow) {
     }
     world.sim->Destroy(obj, 5);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
   EXPECT_TRUE(violations.empty());
   auto summary = finder.Summarize(violations);
@@ -116,12 +108,10 @@ TEST(ViolationFinderTest, NoLockWinnersCannotBeViolated) {
     }
     world.sim->Destroy(obj, 6);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   EXPECT_TRUE(finder.FindAll(rules).empty());
 }
 
@@ -143,15 +133,48 @@ TEST(ViolationFinderTest, WoRSuppressedReadsNotCountedAsViolatingEvents) {
     world.sim->UnlockGlobal(world.global_a, 23);
     world.sim->Destroy(obj, 98);
   }
-  Database db;
-  world.Import(&db);
-  ObservationStore store = ExtractObservations(db, *world.registry);
-  RuleDerivator derivator;
-  std::vector<DerivationResult> rules = derivator.DeriveAll(store);
-  ViolationFinder finder(&db, world.registry.get(), &store);
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const std::vector<DerivationResult>& rules = context.rules();
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(rules);
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].seqs.size(), 1u);  // The write only.
+}
+
+// A hand-built winner naming a lock class the store never interned (the
+// widget's mutex is never taken): no held sequence can contain it, so every
+// group of its (member, access) violates it and none can be the nearest
+// complying access.
+TEST(ViolationFinderTest, UninternedRuleClassViolatesEveryGroup) {
+  TestWorld world = MakeBuggyWorld();
+  AnalysisSnapshot snapshot = world.Snapshot();
+  AnalysisContext context(&snapshot, world.registry.get());
+  const MemberObsKey key = world.Key(world.data);
+  DerivationResult result;
+  for (const DerivationResult& derived : context.rules()) {
+    if (derived.key == key && derived.access == AccessType::kWrite) {
+      result = derived;
+    }
+  }
+  ASSERT_TRUE(result.winner.has_value());
+  ASSERT_LT(result.winner->sr, 1.0);
+  result.winner->locks = ParseLockSeq("ES(w_mutex in widget)").value();
+  ASSERT_FALSE(snapshot.observations.pool().FindSeq(result.winner->locks).has_value());
+
+  ViolationFinder finder(context);
+  std::vector<Violation> violations = finder.FindAll({result});
+  EXPECT_EQ(violations.size(), snapshot.observations.CountObservations(key, AccessType::kWrite));
+  EXPECT_EQ(violations.size(), 20u);  // 19 locked writes + the lockless one.
+  for (const Violation& violation : violations) {
+    EXPECT_EQ(LockSeqToString(violation.rule), "ES(w_mutex in widget)");
+    EXPECT_EQ(violation.seqs.size(), 1u);
+  }
+  ViolationForensics forensics = finder.Forensics(violations, 10);
+  ASSERT_EQ(forensics.groups.size(), 2u);  // The locked site and the fast path.
+  for (const CexGroupData& group : forensics.groups) {
+    EXPECT_FALSE(group.nearest_complying.present) << group.location;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 namespace lockdoc {
 namespace {
 
+// Three sections: the meta and strings payloads end short of an 8-byte
+// boundary, so they are padded, and the table payload is empty (legal).
 std::string TinySnapshot() {
   SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
@@ -31,6 +33,9 @@ TEST(SnapshotContainerTest, WriterScanRoundTrip) {
   EXPECT_EQ(sections.value()[0].payload, "meta-payload");
   EXPECT_EQ(sections.value()[1].type, kSnapshotSectionStrings);
   EXPECT_EQ(sections.value()[1].seq, 1u);
+  EXPECT_EQ(sections.value()[1].payload, "strings-payload");
+  EXPECT_EQ(sections.value()[2].type, kSnapshotSectionTable);
+  EXPECT_EQ(sections.value()[2].seq, 2u);
   EXPECT_EQ(sections.value()[2].payload, "");
 }
 
@@ -124,8 +129,7 @@ TEST(SnapshotContainerTest, EveryByteFlipIsDetected) {
   for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] ^= 0x40;
-    auto sections = ScanSnapshotSections(bytes);
-    EXPECT_FALSE(sections.ok()) << "undetected flip at offset " << i;
+    EXPECT_FALSE(ScanSnapshotSections(bytes).ok()) << "undetected flip at offset " << i;
   }
 }
 
@@ -141,7 +145,9 @@ void PatchU64(std::string* bytes, size_t pos, uint64_t value) {
   bytes->replace(pos, le.size(), le);
 }
 
-std::string TinySnapshotV2() {
+// TinySnapshot with a non-empty table payload: every payload is padded, and
+// the table-damage tests have table bytes to damage.
+std::string TinySnapshotWithTablePayload() {
   SnapshotWriter writer;
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(kSnapshotSectionStrings, "strings-payload");
@@ -150,7 +156,7 @@ std::string TinySnapshotV2() {
 }
 
 TEST(SnapshotContainerTest, V2WriterScanRoundTripIsAligned) {
-  std::string bytes = TinySnapshotV2();
+  std::string bytes = TinySnapshotWithTablePayload();
   auto sections = ScanSnapshotSections(bytes);
   ASSERT_TRUE(sections.ok()) << sections.status().message();
   ASSERT_EQ(sections.value().size(), 3u);
@@ -164,12 +170,12 @@ TEST(SnapshotContainerTest, V2WriterScanRoundTripIsAligned) {
     EXPECT_EQ(section.offset % 8, 0u);
     EXPECT_EQ((section.offset + kSnapshotV2FrameHeaderSize) % 8, 0u);
     EXPECT_EQ(section.padded_payload.size() % 8, 0u);
-    EXPECT_GE(section.padded_payload.size(), section.payload.size());
+    EXPECT_GT(section.padded_payload.size(), section.payload.size());
   }
 }
 
 TEST(SnapshotContainerTest, V2EveryByteFlipIsDetected) {
-  std::string pristine = TinySnapshotV2();
+  std::string pristine = TinySnapshotWithTablePayload();
   // Padding bytes included: header pads are covered by the header CRC and
   // payload pads by the padded-payload CRC, so no flipped byte may pass.
   for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
@@ -180,7 +186,7 @@ TEST(SnapshotContainerTest, V2EveryByteFlipIsDetected) {
 }
 
 TEST(SnapshotContainerTest, V2HeaderModeDefersTablePayloadCrcOnly) {
-  std::string bytes = TinySnapshotV2();
+  std::string bytes = TinySnapshotWithTablePayload();
   auto pristine = ScanSnapshotSections(bytes, SnapshotScanMode::kVerifyHeaders);
   ASSERT_TRUE(pristine.ok());
   EXPECT_TRUE(pristine.value()[0].crc_checked);   // meta
@@ -236,7 +242,7 @@ TEST(SnapshotContainerTest, StreamedFramesMatchBufferedAndSinkErrorsStick) {
 }
 
 TEST(SnapshotContainerTest, CorruptV2LengthIsClampedAndLaterFramesSurvive) {
-  std::string bytes = TinySnapshotV2();
+  std::string bytes = TinySnapshotWithTablePayload();
   auto sections = ScanSnapshotSections(bytes);
   ASSERT_TRUE(sections.ok());
   // v2 lengths are covered by the header CRC, so a blind flip reports

@@ -110,7 +110,8 @@ TEST_F(EndToEndTest, ObservationTotalsConsistentWithSupports) {
 TEST_F(EndToEndTest, DocumentedRulesVerdictsMatchPaperShape) {
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   ASSERT_TRUE(rules.ok());
-  RuleChecker checker(sim_->registry.get(), &result_->snapshot.observations);
+  AnalysisContext context(&result_->snapshot, sim_->registry.get());
+  RuleChecker checker(context);
   auto summaries = RuleChecker::Summarize(checker.CheckAll(rules.value()));
   ASSERT_EQ(summaries.size(), 5u);
   uint64_t documented = 0;
@@ -125,7 +126,8 @@ TEST_F(EndToEndTest, DocumentedRulesVerdictsMatchPaperShape) {
 }
 
 TEST_F(EndToEndTest, ViolationsReferenceRealTraceEvents) {
-  ViolationFinder finder(&result_->snapshot.db, sim_->registry.get(), &result_->snapshot.observations);
+  AnalysisContext context(&result_->snapshot, sim_->registry.get());
+  ViolationFinder finder(context);
   std::vector<Violation> violations = finder.FindAll(result_->rules);
   ASSERT_FALSE(violations.empty());
   for (const Violation& violation : violations) {
@@ -139,11 +141,12 @@ TEST_F(EndToEndTest, ViolationsReferenceRealTraceEvents) {
 }
 
 TEST_F(EndToEndTest, KnownInjectedBugsAreFound) {
-  ViolationFinder finder(&result_->snapshot.db, sim_->registry.get(), &result_->snapshot.observations);
-  auto examples = finder.Examples(finder.FindAll(result_->rules), SIZE_MAX);
+  AnalysisContext context(&result_->snapshot, sim_->registry.get());
+  ViolationFinder finder(context);
+  auto examples = finder.Forensics(finder.FindAll(result_->rules), SIZE_MAX).groups;
   bool i_hash_at_507 = false;
   bool d_subdirs_rcu = false;
-  for (const ViolationExample& ex : examples) {
+  for (const CexGroupData& ex : examples) {
     if (ex.location == "fs/inode.c:507" && ex.member.find("i_hash") != std::string::npos) {
       i_hash_at_507 = true;
     }

@@ -9,14 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/analysis_pass.h"
 #include "src/core/doc_generator.h"
 #include "src/core/pipeline.h"
-#include "src/core/report.h"
 #include "src/core/rule_checker.h"
 #include "src/core/violation_finder.h"
 #include "src/trace/trace_io.h"
 #include "src/util/string_util.h"
-#include "src/util/thread_pool.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -25,26 +24,28 @@ namespace {
 
 // Renders everything downstream of a trace into one deterministic blob.
 std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size_t jobs) {
-  PipelineOptions options;
-  options.filter = VfsKernel::MakeFilterConfig();
-  options.jobs = jobs;
-  PipelineResult result = RunPipeline(trace, registry, options);
-  ThreadPool pool(jobs);
+  AnalysisOptions options;
+  options.pipeline.filter = VfsKernel::MakeFilterConfig();
+  options.pipeline.jobs = jobs;
+  options.pass.documented_rules_text = VfsKernel::DocumentedRulesText();
+  options.pass.report_full = true;
+  PipelineResult result = RunPipeline(trace, registry, options.pipeline);
+  AnalysisContext context(&result.snapshot, &registry, options);
 
   std::string out;
 
   // 1. The full report (mining summary, violations, lock order, modes,
   //    generated documentation).
-  ReportOptions report_options;
-  report_options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  report_options.full_documentation = true;
-  out += RenderReport(registry, result, report_options);
+  PassOutput report;
+  Status status = PassRegistry::Default().Find("report")->Run(context, report);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  out += report.text;
 
   // 2. Rule checking against the documented rules.
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   if (rules.ok()) {
-    RuleChecker checker(&registry, &result.snapshot.observations);
-    for (const RuleCheckResult& r : checker.CheckAll(rules.value(), &pool)) {
+    RuleChecker checker(context);
+    for (const RuleCheckResult& r : checker.CheckAll(rules.value())) {
       out += StrFormat("%s %s sa=%llu total=%llu sr=%.6f\n",
                        std::string(RuleVerdictSymbol(r.verdict)).c_str(),
                        r.rule.ToString().c_str(), static_cast<unsigned long long>(r.sa),
@@ -52,16 +53,16 @@ std::string AnalyzeToText(const Trace& trace, const TypeRegistry& registry, size
     }
   }
 
-  // 3. Violations, raw and as rendered examples.
-  ViolationFinder finder(&result.snapshot.db, &registry, &result.snapshot.observations);
-  std::vector<Violation> violations = finder.FindAll(result.rules, &pool);
+  // 3. Violations, raw and as rendered counterexample groups.
+  ViolationFinder finder(context);
+  std::vector<Violation> violations = finder.FindAll(result.rules);
   for (const Violation& v : violations) {
     out += StrFormat("violation rule=%s held=%s events=%zu first=%llu\n",
                      LockSeqToString(v.rule).c_str(), LockSeqToString(v.held).c_str(),
                      v.seqs.size(),
                      static_cast<unsigned long long>(v.seqs.empty() ? 0 : v.seqs[0]));
   }
-  for (const ViolationExample& ex : finder.Examples(violations, 25)) {
+  for (const CexGroupData& ex : finder.Forensics(violations, 25).groups) {
     out += StrFormat("example %s [%s] rule=%s held=%s at=%s stack=%s events=%llu\n",
                      ex.member.c_str(), ex.access.c_str(), ex.rule.c_str(), ex.held.c_str(),
                      ex.location.c_str(), ex.stack.c_str(),

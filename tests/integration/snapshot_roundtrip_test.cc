@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/analysis_pass.h"
 #include "src/core/pipeline.h"
-#include "src/core/report.h"
 #include "src/core/snapshot.h"
 #include "src/util/string_util.h"
 #include "src/vfs/vfs_kernel.h"
@@ -53,6 +53,21 @@ TEST(SnapshotRoundTripTest, SnapshotBytesAreIdenticalAcrossJobCounts) {
   }
 }
 
+// The text of the `report` pass (validation and generated documentation
+// included) over `snapshot`, analyzed on `jobs` threads.
+std::string ReportText(const AnalysisSnapshot& snapshot, const TypeRegistry& registry,
+                       size_t jobs) {
+  AnalysisOptions options;
+  options.pipeline = VfsOptions(jobs);
+  options.pass.documented_rules_text = VfsKernel::DocumentedRulesText();
+  options.pass.report_full = true;
+  AnalysisContext context(&snapshot, &registry, options);
+  PassOutput out;
+  Status status = PassRegistry::Default().Find("report")->Run(context, out);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return out.text;
+}
+
 TEST(SnapshotRoundTripTest, AnalysisFromSnapshotMatchesAnalysisFromTrace) {
   MixOptions mix;
   mix.ops = 6000;
@@ -63,15 +78,7 @@ TEST(SnapshotRoundTripTest, AnalysisFromSnapshotMatchesAnalysisFromTrace) {
   AnalysisSnapshot built = BuildSnapshot(sim.trace, *sim.registry, VfsOptions(1));
   std::vector<DerivationResult> trace_rules = AnalyzeSnapshot(built, VfsOptions(1));
   std::string bytes = SerializeSnapshot(built, *sim.registry);
-
-  ReportOptions report_options;
-  report_options.documented_rules_text = VfsKernel::DocumentedRulesText();
-  report_options.full_documentation = true;
-
-  PipelineResult from_trace;
-  from_trace.snapshot = std::move(built);
-  from_trace.rules = trace_rules;
-  std::string trace_report = RenderReport(*sim.registry, from_trace, report_options);
+  std::string trace_report = ReportText(built, *sim.registry, 1);
 
   // Snapshot path, at several thread counts: identical rules, identical
   // report, byte for byte.
@@ -81,11 +88,7 @@ TEST(SnapshotRoundTripTest, AnalysisFromSnapshotMatchesAnalysisFromTrace) {
     std::vector<DerivationResult> snapshot_rules =
         AnalyzeSnapshot(loaded.value(), VfsOptions(jobs));
     EXPECT_EQ(RenderRules(snapshot_rules), RenderRules(trace_rules)) << "jobs=" << jobs;
-
-    PipelineResult from_snapshot;
-    from_snapshot.snapshot = std::move(loaded).value();
-    from_snapshot.rules = std::move(snapshot_rules);
-    EXPECT_EQ(RenderReport(*sim.registry, from_snapshot, report_options), trace_report)
+    EXPECT_EQ(ReportText(loaded.value(), *sim.registry, jobs), trace_report)
         << "jobs=" << jobs;
   }
 }

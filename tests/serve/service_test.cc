@@ -385,6 +385,12 @@ TEST_F(ServeServiceTest, V1SnapshotIsQuarantinedWithTheReimportMessage) {
   EXPECT_NE(reason.value().find("kind=damaged-snapshot\n"), std::string::npos) << reason.value();
   EXPECT_NE(reason.value().find("container v1 (LOCKDB01)"), std::string::npos) << reason.value();
   EXPECT_NE(reason.value().find("lockdoc import"), std::string::npos) << reason.value();
+  // The hint sends the user to a re-import: doctor cannot read or repair v1.
+  size_t hint = reason.value().find("hint=");
+  ASSERT_NE(hint, std::string::npos) << reason.value();
+  std::string hint_line = reason.value().substr(hint, reason.value().find('\n', hint) - hint);
+  EXPECT_NE(hint_line.find("lockdoc import"), std::string::npos) << hint_line;
+  EXPECT_EQ(hint_line.find("doctor"), std::string::npos) << hint_line;
   EXPECT_EQ(service.stats().quarantined, 1u);
   EXPECT_EQ(service.stats().ingested, 0u);
 }

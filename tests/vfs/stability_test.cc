@@ -26,7 +26,8 @@ TEST_P(SeedStabilityTest, Tab4VerdictsAndCleanTypesAreSeedIndependent) {
   // Tab. 4 verdict counts for struct inode (the paper's headline row).
   auto rules = RuleSet::ParseText(VfsKernel::DocumentedRulesText());
   ASSERT_TRUE(rules.ok());
-  RuleChecker checker(sim.registry.get(), &result.snapshot.observations);
+  AnalysisContext context(&result.snapshot, sim.registry.get());
+  RuleChecker checker(context);
   auto summaries = RuleChecker::Summarize(checker.CheckAll(rules.value()));
   for (const RuleCheckSummary& summary : summaries) {
     if (summary.type_name == "inode") {
@@ -43,7 +44,7 @@ TEST_P(SeedStabilityTest, Tab4VerdictsAndCleanTypesAreSeedIndependent) {
   }
 
   // Tab. 7's violation-free populations stay violation-free.
-  ViolationFinder finder(&result.snapshot.db, sim.registry.get(), &result.snapshot.observations);
+  ViolationFinder finder(context);
   auto rows = finder.Summarize(finder.FindAll(result.rules));
   for (const ViolationSummaryRow& row : rows) {
     for (const char* clean :

@@ -242,7 +242,16 @@ bool LoadSnapshotFromPath(const std::string& path, const FlagSet& flags, Analysi
     auto loaded = LoadSnapshot(path, *out->registry);
     if (!loaded.ok()) {
       std::fprintf(stderr, "lockdoc: %s\n", loaded.status().message().c_str());
-      std::fprintf(stderr, "lockdoc: (try `lockdoc doctor %s`)\n", path.c_str());
+      // Doctor inspects and repairs damaged LOCKDB02 files only; a file
+      // whose magic CheckSnapshotMagic rejects (the retired LOCKDB01) can
+      // only be rebuilt from its trace.
+      std::string magic(sizeof(kSnapshotMagicV2), '\0');
+      std::ifstream(path, std::ios::binary).read(magic.data(), magic.size());
+      if (CheckSnapshotMagic(magic).ok()) {
+        std::fprintf(stderr, "lockdoc: (try `lockdoc doctor %s`)\n", path.c_str());
+      } else {
+        std::fprintf(stderr, "lockdoc: (re-run `lockdoc import` on the trace)\n");
+      }
       return false;
     }
     out->snapshot = std::move(loaded).value();
