@@ -529,12 +529,8 @@ Result<uint64_t> PeekSnapshotTypeCount(const std::string& path) {
   if (!mapped.ok()) {
     return mapped.status();
   }
-  return PeekSnapshotTypeCountFromBytes(mapped.value().bytes());
-}
-
-Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
   Result<std::vector<SnapshotSection>> scan =
-      ScanSnapshotSections(bytes, SnapshotScanMode::kVerifyHeaders);
+      ScanSnapshotSections(mapped.value().bytes(), SnapshotScanMode::kVerifyHeaders);
   if (!scan.ok()) {
     return scan.status();
   }
@@ -554,6 +550,29 @@ Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes) {
     return Status::Error("snapshot meta: bad registry shape");
   }
   return type_count;
+}
+
+const TypeRegistry& PickTraceRegistry(const Trace& trace, const TypeRegistry& base,
+                                      const TypeRegistry* extended) {
+  if (extended == nullptr) {
+    return base;
+  }
+  for (const TraceEvent& e : trace.events()) {
+    if (e.has_range ||
+        (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId && e.type >= base.type_count())) {
+      return *extended;
+    }
+  }
+  return base;
+}
+
+const TypeRegistry& PickSnapshotRegistry(const std::string& path, const TypeRegistry& base,
+                                         const TypeRegistry* extended) {
+  if (extended == nullptr) {
+    return base;
+  }
+  Result<uint64_t> type_count = PeekSnapshotTypeCount(path);
+  return type_count.ok() && type_count.value() > base.type_count() ? *extended : base;
 }
 
 Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegistry& registry,

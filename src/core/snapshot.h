@@ -52,7 +52,22 @@ Result<AnalysisSnapshot> DeserializeSnapshot(std::string_view bytes,
 // address-space (mm) workload records more types than the base VFS
 // registry.
 Result<uint64_t> PeekSnapshotTypeCount(const std::string& path);
-Result<uint64_t> PeekSnapshotTypeCountFromBytes(std::string_view bytes);
+
+// The one registry choice of both front ends (the CLI and serve). Each
+// returns `extended` when the input needs types past `base` and `base`
+// otherwise, including when `extended` is null. `extended` must be a strict
+// superset of `base` with its extra types appended (BuildVfsMmRegistry over
+// BuildVfsRegistry), so every base id means the same in both.
+//
+// A trace needs them when it allocates a type id >= base.type_count() or
+// carries a ranged lock event.
+const TypeRegistry& PickTraceRegistry(const Trace& trace, const TypeRegistry& base,
+                                      const TypeRegistry* extended);
+// A .lockdb file needs them when its meta records more than
+// base.type_count() types. An unreadable meta picks `base`: LoadSnapshot
+// then reports the damage.
+const TypeRegistry& PickSnapshotRegistry(const std::string& path, const TypeRegistry& base,
+                                         const TypeRegistry* extended);
 
 // Ingest + persist in one overlapped pass: imports `trace`, then streams
 // the meta/strings/table sections of the .lockdb file to disk on a writer

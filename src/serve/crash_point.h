@@ -1,10 +1,14 @@
 // Deterministic kill points for the serve chaos harness.
 //
 // The service calls ServeCrashPoint("tag") at every state transition whose
-// interruption the journal must survive (after the journal record, between
-// the snapshot temp write and its rename, after the rename but before the
-// journal clear, ...). In production the calls are no-ops. The chaos
-// harness arms them via the environment:
+// interruption the journal must survive. One ingest passes, in order:
+// journal-recorded; snapshot-serialized (trace drops only) and
+// pre-snapshot-publish, both between the complete staged snapshot
+// (state/snapshots/.tmp.NAME.lockdb) and its publishing rename;
+// snapshot-published; ingest-acked; source-removed; journal-cleared. One
+// answered request passes response-out-written, response-meta-written and
+// request-removed. In production the calls are no-ops. The chaos harness
+// arms them via the environment:
 //
 //   LOCKDOC_SERVE_CRASH_AT=<n>   _exit(42) on the n-th crash-point hit
 //                                (1-based, counted across the process)

@@ -141,34 +141,6 @@ ServeService::ServeService(const SpoolLayout& layout, const TypeRegistry* regist
       journal_(&layout_),
       scheduler_(std::make_unique<RequestScheduler>(options_.workers)) {}
 
-const TypeRegistry* ServeService::RegistryForTrace(const Trace& trace) const {
-  if (extended_registry_ == nullptr) {
-    return registry_;
-  }
-  for (const TraceEvent& e : trace.events()) {
-    if (e.has_range) {
-      return extended_registry_;
-    }
-    if (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId &&
-        e.type >= registry_->type_count()) {
-      return extended_registry_;
-    }
-  }
-  return registry_;
-}
-
-const TypeRegistry* ServeService::RegistryForSnapshotBytes(std::string_view bytes) const {
-  if (extended_registry_ == nullptr) {
-    return registry_;
-  }
-  auto type_count = PeekSnapshotTypeCountFromBytes(bytes);
-  if (type_count.ok() && type_count.value() == extended_registry_->type_count() &&
-      type_count.value() != registry_->type_count()) {
-    return extended_registry_;
-  }
-  return registry_;
-}
-
 ServeService::~ServeService() = default;
 
 ServeStats ServeService::stats() const {
@@ -386,41 +358,61 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
                               "incoming/ with an atomic rename");
   }
 
+  // Both kinds of drop become one complete .lockdb staged under an
+  // atomic-temp name (Recover sweeps it after a crash), published below by
+  // one rename.
+  const std::string snapshot_path = layout_.snapshots_dir + "/" + name + kSnapshotSuffix;
+  const std::string staged_path =
+      layout_.snapshots_dir + "/" + kAtomicTempPrefix + name + kSnapshotSuffix;
+  std::string input = std::move(bytes).value();
   ServeResponseMeta ack;
   ack.ok = true;
   bool salvaged = false;
-  std::string snapshot_bytes;
-  if (LooksLikeSnapshot(bytes.value())) {
-    // Pre-imported .lockdb: validate fully before publication so a damaged
-    // snapshot never enters the resident store.
-    auto snapshot = DeserializeSnapshot(bytes.value(), *RegistryForSnapshotBytes(bytes.value()));
+  if (LooksLikeSnapshot(input)) {
+    // Pre-imported .lockdb: staged as dropped, then validated by the loader
+    // the resident store and the CLI use, so a damaged snapshot never
+    // enters the resident store. Doctor repairs damaged LOCKDB02 files
+    // only; a magic that CheckSnapshotMagic rejects (the retired LOCKDB01)
+    // needs a re-import.
+    const std::string hint =
+        CheckSnapshotMagic(input).ok()
+            ? StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str())
+            : "re-run `lockdoc import` on the trace";
+    Status staged = WriteFileAtomic(staged_path, input);
+    std::string().swap(input);  // The load maps the staged file instead.
+    if (!staged.ok()) {
+      return QuarantineIncoming(source, name, kServeErrorIo, staged.message(),
+                                "check state filesystem health");
+    }
+    const TypeRegistry& registry =
+        PickSnapshotRegistry(staged_path, *registry_, extended_registry_);
+    auto snapshot = LoadSnapshot(staged_path, registry);
     if (!snapshot.ok()) {
-      // Doctor repairs damaged LOCKDB02 files only; a magic that
-      // CheckSnapshotMagic rejects (the retired LOCKDB01) needs a re-import.
-      std::string hint =
-          CheckSnapshotMagic(bytes.value()).ok()
-              ? StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str())
-              : "re-run `lockdoc import` on the trace";
+      RemoveFileIfExists(staged_path);
       return QuarantineIncoming(source, name, "damaged-snapshot", snapshot.status().message(),
                                 hint);
     }
-    snapshot_bytes = std::move(bytes.value());
     ack.extra.emplace_back("kind", "snapshot");
   } else {
     TraceReadOptions read_options;
     read_options.salvage = true;
     TraceReadReport report;
-    auto trace = ReadTraceFromBytes(bytes.value(), read_options, &report);
+    auto trace = ReadTraceFromBytes(input, read_options, &report);
+    std::string().swap(input);  // The events are decoded out of it.
     if (!trace.ok()) {
       return QuarantineIncoming(source, name, "unreadable", trace.status().message(),
                                 "not a readable trace or snapshot; lockdoc doctor "
                                 "itemizes the damage");
     }
-    PipelineTimings timings;
-    const TypeRegistry& trace_registry = *RegistryForTrace(trace.value());
-    AnalysisSnapshot snapshot =
-        BuildSnapshot(trace.value(), trace_registry, options_.pipeline, &timings);
-    snapshot_bytes = SerializeSnapshot(snapshot, trace_registry);
+    // What `lockdoc import` does: the sections stream to the staged file as
+    // they are built.
+    auto built = BuildAndSaveSnapshot(
+        trace.value(), PickTraceRegistry(trace.value(), *registry_, extended_registry_),
+        options_.pipeline, SnapshotWriteOptions{}, staged_path);
+    if (!built.ok()) {
+      return QuarantineIncoming(source, name, kServeErrorIo, built.status().message(),
+                                "check state filesystem health");
+    }
     ServeCrashPoint("snapshot-serialized");
     ack.extra.emplace_back("kind", "trace");
     ack.extra.emplace_back("events", std::to_string(trace.value().events().size()));
@@ -431,14 +423,20 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
       ack.extra.emplace_back("damage", OneLine(report.ToString()));
     }
   }
-  ack.extra.emplace_back("snapshot_bytes", std::to_string(snapshot_bytes.size()));
 
   ServeCrashPoint("pre-snapshot-publish");
-  const std::string snapshot_path = layout_.snapshots_dir + "/" + name + kSnapshotSuffix;
-  if (Status status = WriteFileAtomic(snapshot_path, snapshot_bytes); !status.ok()) {
-    return QuarantineIncoming(source, name, kServeErrorIo, status.message(),
+  Result<uint64_t> staged_size = FileSize(staged_path);
+  Status published = staged_size.ok() ? RenameFile(staged_path, snapshot_path)
+                                      : staged_size.status();
+  if (published.ok()) {
+    published = SyncDirectory(layout_.snapshots_dir);
+  }
+  if (!published.ok()) {
+    RemoveFileIfExists(staged_path);
+    return QuarantineIncoming(source, name, kServeErrorIo, published.message(),
                               "check state filesystem health");
   }
+  ack.extra.emplace_back("snapshot_bytes", std::to_string(staged_size.value()));
   ServeCrashPoint("snapshot-published");
   // A re-import replaces any stale resident copy.
   EvictResident(name);
@@ -758,14 +756,7 @@ void ServeService::LoadResident(const std::shared_ptr<Resident>& resident) {
   // which is what the resident store charges. Payload CRCs are verified
   // during every load — the no-wrong-answer invariant does not bend for
   // speed.
-  const TypeRegistry* registry = registry_;
-  if (extended_registry_ != nullptr) {
-    auto type_count = PeekSnapshotTypeCount(path);
-    if (type_count.ok() && type_count.value() == extended_registry_->type_count() &&
-        type_count.value() != registry_->type_count()) {
-      registry = extended_registry_;
-    }
-  }
+  const TypeRegistry* registry = &PickSnapshotRegistry(path, *registry_, extended_registry_);
   auto snapshot = LoadSnapshot(path, *registry);
   if (!snapshot.ok()) {
     resident->load_error =

@@ -5,9 +5,12 @@
 // One scan cycle (ProcessOnce) ingests every file in SPOOL/incoming — each
 // import journaled, crash-safe, and ending in exactly one of {acknowledged,
 // quarantined} — then answers every SPOOL/requests/*.req against the
-// resident snapshot store. Responses are byte-identical to the standalone
-// CLI: the same registered AnalysisPass renders the same bytes from the
-// same AnalysisContext; only the transport differs.
+// resident snapshot store. Ingest is the CLI's import: a trace is built
+// and written by BuildAndSaveSnapshot, a dropped .lockdb is validated by
+// LoadSnapshot, so the published snapshot is byte-identical to `lockdoc
+// import`'s. Responses are byte-identical to the standalone CLI: the same
+// registered AnalysisPass renders the same bytes from the same
+// AnalysisContext; only the transport differs.
 //
 // Concurrency model (DESIGN.md 4h): requests are answered by a bounded
 // RequestScheduler (`--workers`); ingestion stays serial on the scan
@@ -118,7 +121,8 @@ class ServeService {
   // `registry` — extra types appended past the base set. Inputs that
   // reference types beyond the base registry (or carry ranged lock events)
   // are imported and loaded against it; everything else keeps using the
-  // base registry bit-exactly.
+  // base registry bit-exactly. The choice is the CLI's: PickTraceRegistry
+  // and PickSnapshotRegistry (src/core/snapshot.h).
   ServeService(const SpoolLayout& layout, const TypeRegistry* registry,
                ServeServiceOptions options, const TypeRegistry* extended_registry = nullptr);
   ~ServeService();
@@ -229,11 +233,6 @@ class ServeService {
   void EnforceResidencyBudgetLocked();
 
   Result<std::string> ReadSpoolFileWithRetry(const std::string& path);
-
-  // Picks the registry an input belongs to (base unless the extended
-  // registry is configured and the input needs it).
-  const TypeRegistry* RegistryForTrace(const Trace& trace) const;
-  const TypeRegistry* RegistryForSnapshotBytes(std::string_view bytes) const;
 
   SpoolLayout layout_;
   const TypeRegistry* registry_;

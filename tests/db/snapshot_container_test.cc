@@ -57,46 +57,33 @@ TEST(SnapshotContainerTest, MagicSniffing) {
 }
 
 TEST(SnapshotContainerTest, UnknownSectionTypeIsUnrecognizedNotDamage) {
-  SnapshotWriter writer;
-  writer.AddSection(kSnapshotSectionMeta, "meta-payload");
-  writer.AddSection(static_cast<SnapshotSectionType>(9), "future-payload");
-  writer.AddSection(kSnapshotSectionStrings, "strings-payload");
-  std::string bytes = writer.Finish().value();
+  for (uint32_t type : {9u, 11u}) {
+    SCOPED_TRACE(type);
+    SnapshotWriter writer;
+    writer.AddSection(kSnapshotSectionMeta, "meta-payload");
+    writer.AddSection(static_cast<SnapshotSectionType>(type), "future-payload");
+    writer.AddSection(kSnapshotSectionStrings, "strings-payload");
+    std::string bytes = writer.Finish().value();
 
-  // The strict scan keeps the unknown section (its CRC is intact).
-  auto sections = ScanSnapshotSections(bytes);
-  ASSERT_TRUE(sections.ok()) << sections.status().message();
-  ASSERT_EQ(sections.value().size(), 3u);
-  EXPECT_EQ(static_cast<uint32_t>(sections.value()[1].type), 9u);
-  EXPECT_EQ(sections.value()[1].payload, "future-payload");
+    // The strict scan keeps the unknown section (its CRC is intact).
+    auto sections = ScanSnapshotSections(bytes);
+    ASSERT_TRUE(sections.ok()) << sections.status().message();
+    ASSERT_EQ(sections.value().size(), 3u);
+    EXPECT_EQ(static_cast<uint32_t>(sections.value()[1].type), type);
+    EXPECT_EQ(sections.value()[1].payload, "future-payload");
 
-  // doctor reports it as forward compatibility, not as damage.
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  EXPECT_TRUE(inspection.clean());
-  ASSERT_EQ(inspection.sections.size(), 3u);
-  EXPECT_FALSE(inspection.sections[0].unrecognized);
-  EXPECT_TRUE(inspection.sections[1].unrecognized);
-  EXPECT_TRUE(inspection.sections[1].ok());
-  EXPECT_FALSE(inspection.sections[2].unrecognized);
-  std::string text = inspection.ToString();
-  EXPECT_NE(text.find("unrecognized (skipped)"), std::string::npos);
-  EXPECT_NE(text.find("type 9"), std::string::npos);
-}
-
-TEST(SnapshotContainerTest, V2UnknownSectionTypeIsUnrecognizedNotDamage) {
-  SnapshotWriter writer;
-  writer.AddSection(kSnapshotSectionMeta, "meta-payload");
-  writer.AddSection(static_cast<SnapshotSectionType>(11), "future-payload");
-  writer.AddSection(kSnapshotSectionStrings, "strings-payload");
-  std::string bytes = writer.Finish().value();
-  SnapshotInspection inspection = InspectSnapshot(bytes);
-  EXPECT_TRUE(inspection.clean());
-  ASSERT_EQ(inspection.sections.size(), 3u);
-  EXPECT_TRUE(inspection.sections[1].unrecognized);
-  EXPECT_TRUE(inspection.sections[1].ok());
-  std::string text = inspection.ToString();
-  EXPECT_NE(text.find("unrecognized (skipped)"), std::string::npos);
-  EXPECT_NE(text.find("type 11"), std::string::npos);
+    // doctor reports it as forward compatibility, not as damage.
+    SnapshotInspection inspection = InspectSnapshot(bytes);
+    EXPECT_TRUE(inspection.clean());
+    ASSERT_EQ(inspection.sections.size(), 3u);
+    EXPECT_FALSE(inspection.sections[0].unrecognized);
+    EXPECT_TRUE(inspection.sections[1].unrecognized);
+    EXPECT_TRUE(inspection.sections[1].ok());
+    EXPECT_FALSE(inspection.sections[2].unrecognized);
+    std::string text = inspection.ToString();
+    EXPECT_NE(text.find("unrecognized (skipped)"), std::string::npos);
+    EXPECT_NE(text.find("type " + std::to_string(type)), std::string::npos);
+  }
 }
 
 TEST(SnapshotContainerTest, CorruptUnknownSectionIsStillDamage) {

@@ -103,6 +103,24 @@ check_answer() {
   fi
 }
 
+# A crash run ($1 = its exit code) that died at its armed hit ($2) must
+# name that crash point on stderr ($DIR/crash.err); $3, if given, lists the
+# tags the hit may carry.
+check_crash_point() {
+  [ "$1" -eq 42 ] || return 0
+  line=$(grep "armed crash point #$2 (" "$DIR/crash.err")
+  if [ -z "$line" ]; then
+    fail "crash run exited 42 without naming crash point #$2"
+    return 0
+  fi
+  [ -n "${3:-}" ] || return 0
+  tag=$(echo "$line" | sed -n 's/.*(\(.*\))$/\1/p')
+  case " $3 " in
+    *" $tag "*) ;;
+    *) fail "crash point #$2 is '$tag' (want one of: $3)" ;;
+  esac
+}
+
 seed=0
 while [ "$seed" -lt "$SCENARIOS" ]; do
   seed=$((seed + 1))
@@ -121,9 +139,11 @@ while [ "$seed" -lt "$SCENARIOS" ]; do
       cp "$DIR/fixture.trace" "$spool/incoming/web.trace"
       mkdir -p "$spool/requests"
       printf 'pass=%s\ninput=web\n' "$pass" > "$spool/requests/q.req"
-      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 > /dev/null 2>&1
+      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 \
+        > /dev/null 2> "$DIR/crash.err"
       rc=$?
       [ "$rc" -eq 42 ] || [ "$rc" -eq 0 ] || fail "crash run exited $rc (want 42 or 0)"
+      check_crash_point "$rc" "$p"
       check_invariants "$spool" web.trace q
       cmp -s "$REF_SNAPSHOT" "$spool/state/snapshots/web.lockdb" \
         || fail "recovered snapshot differs from crash-free import"
@@ -182,9 +202,12 @@ while [ "$seed" -lt "$SCENARIOS" ]; do
       cp "$DIR/fixture.trace" "$spool/incoming/web.trace"
       mkdir -p "$spool/requests"
       printf 'pass=%s\ninput=web\n' "$pass" > "$spool/requests/q.req"
-      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 > /dev/null 2>&1
+      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 \
+        > /dev/null 2> "$DIR/crash.err"
       rc=$?
       [ "$rc" -eq 42 ] || [ "$rc" -eq 0 ] || fail "crash run exited $rc (want 42 or 0)"
+      # Hits 8-10 follow a 7-hit trace ingest: the three response points.
+      check_crash_point "$rc" "$p" "response-out-written response-meta-written request-removed"
       check_invariants "$spool" web.trace q
       check_answer "$spool" q "$pass" "$DIR/fixture.trace"
       grep -q '^status=ok$' "$spool/responses/q.meta" || fail "clean input not answered ok"
@@ -197,9 +220,11 @@ while [ "$seed" -lt "$SCENARIOS" ]; do
       cp "$DIR/damaged.trace" "$spool/incoming/web.trace"
       mkdir -p "$spool/requests"
       printf 'pass=%s\ninput=web\n' "$pass" > "$spool/requests/q.req"
-      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 > /dev/null 2>&1
+      LOCKDOC_SERVE_CRASH_AT=$p "$LOCKDOC" serve "$spool" --once --workers 4 \
+        > /dev/null 2> "$DIR/crash.err"
       rc=$?
       [ "$rc" -eq 42 ] || [ "$rc" -eq 0 ] || fail "crash run exited $rc (want 42 or 0)"
+      check_crash_point "$rc" "$p"
       check_invariants "$spool" web.trace q
       check_answer "$spool" q "$pass" "$DIR/damaged.trace" --salvage
       ;;

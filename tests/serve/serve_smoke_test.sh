@@ -19,14 +19,26 @@ fail() {
   failures=$((failures + 1))
 }
 
+# Publishes $1 at path $2 inside a live daemon's spool the way producers
+# must: written in full under a staging name, then renamed into place, so
+# no scan sees a partial file. The staging name is in $DIR (the same
+# filesystem, so the rename is atomic), not in the spool directory: a
+# daemon still starting up sweeps .tmp.* names there and could unlink the
+# file mid-copy.
+publish() {
+  cp "$1" "$DIR/.tmp.publish" && mv "$DIR/.tmp.publish" "$2"
+}
+
 "$LOCKDOC" simulate --out "$DIR/web.trace" --ops 1500 --seed 3 > /dev/null || exit 1
 "$LOCKDOC" simulate --out "$DIR/base.trace" --ops 1500 --seed 3 --clean > /dev/null || exit 1
+"$LOCKDOC" import "$DIR/web.trace" --out "$DIR/web.lockdb" > /dev/null || exit 1
 
 # --- every pass, byte-identical to the CLI ---
 SPOOL="$DIR/spool"
 mkdir -p "$SPOOL/incoming" "$SPOOL/requests"
 cp "$DIR/web.trace" "$SPOOL/incoming/web.trace"
 cp "$DIR/base.trace" "$SPOOL/incoming/base.trace"
+cp "$DIR/web.lockdb" "$SPOOL/incoming/db.lockdb"
 for pass in check derive violations lock-order modes report; do
   printf 'pass=%s\ninput=web\n' "$pass" > "$SPOOL/requests/$pass.req"
 done
@@ -48,6 +60,13 @@ printf 'pass=check\ninput=../../etc/passwd\n' > "$SPOOL/requests/escape.req"
 printf 'pass=check\ninput=web\nformat=bogus\n' > "$SPOOL/requests/badformat.req"
 
 "$LOCKDOC" serve "$SPOOL" --once > /dev/null || fail "serve --once failed"
+
+# Serve's ingest is `lockdoc import`: a trace drop publishes the import's
+# bytes, a .lockdb drop publishes the dropped bytes.
+cmp -s "$DIR/web.lockdb" "$SPOOL/state/snapshots/web.lockdb" \
+  || fail "published web.lockdb != lockdoc import bytes"
+cmp -s "$DIR/web.lockdb" "$SPOOL/state/snapshots/db.lockdb" \
+  || fail "published db.lockdb != the dropped .lockdb"
 
 for pass in check derive violations lock-order modes report; do
   "$LOCKDOC" "$pass" "$DIR/web.trace" > "$DIR/expect.out" || fail "CLI $pass failed"
@@ -187,7 +206,8 @@ if [ -n "$PORT" ]; then
   grep -q '^kind=unknown-pass$' "$DIR/sockq.meta" || fail "socket error not typed"
   [ -s "$DIR/sockq.out" ] && fail "socket error carried response bytes"
   # While the socket is live the spool transport still answers (one scheduler).
-  printf 'pass=check\ninput=web\n' > "$SPOOL6/requests/spool_live.req"
+  printf 'pass=check\ninput=web\n' > "$DIR/spool_live.req"
+  publish "$DIR/spool_live.req" "$SPOOL6/requests/spool_live.req"
   tries=0
   while [ ! -f "$SPOOL6/responses/spool_live.meta" ] && [ "$tries" -lt 200 ]; do
     tries=$((tries + 1)); sleep 0.1
@@ -206,9 +226,10 @@ SPOOL4="$DIR/spool_daemon"
 mkdir -p "$SPOOL4/incoming"
 "$LOCKDOC" serve "$SPOOL4" --poll-ms 25 > "$DIR/daemon_stats.txt" 2>&1 &
 DAEMON=$!
-cp "$DIR/web.trace" "$SPOOL4/incoming/web.trace"
+publish "$DIR/web.trace" "$SPOOL4/incoming/web.trace"
 mkdir -p "$SPOOL4/requests"
-printf 'pass=check\ninput=web\n' > "$SPOOL4/requests/late.req"
+printf 'pass=check\ninput=web\n' > "$DIR/late.req"
+publish "$DIR/late.req" "$SPOOL4/requests/late.req"
 tries=0
 while [ ! -f "$SPOOL4/responses/late.meta" ] && [ "$tries" -lt 200 ]; do
   tries=$((tries + 1))

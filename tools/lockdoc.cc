@@ -26,9 +26,10 @@
 // to analyzing the original trace.
 //
 // The phase-3 analysis commands (derive, check, violations, lock-order,
-// modes, report, diff) are thin shells around the registered AnalysisPasses
-// (src/core/analysis_pass.h), all sharing one AnalysisContext. `analyze`
-// runs any subset of those passes over a single context: the input is
+// modes, report, diff, analyze) run the registered AnalysisPasses
+// (src/core/analysis_pass.h) through one runner over one AnalysisContext:
+// `lockdoc P FILE` runs [P], `lockdoc diff OLD NEW` runs [diff] with OLD as
+// the baseline, and `analyze` runs any subset of the passes — the input is
 // loaded once, rules are derived once, the shared indexes are built at most
 // once, and each selected pass's output — byte-identical to its standalone
 // command — is emitted in pass order (or to per-pass files via --out-dir).
@@ -144,45 +145,27 @@ PipelineOptions MakeOptions(const FlagSet& flags) {
   return options;
 }
 
-struct LoadedTrace {
-  VfsIds ids;
-  std::unique_ptr<TypeRegistry> registry;
-  Trace trace;
+// The two registries every input is read against, built once per process:
+// the base VFS set and the extended one for the mm (address-space)
+// workload, which appends its types past the base set. PickTraceRegistry
+// and PickSnapshotRegistry (src/core/snapshot.h) choose between them, for
+// the analysis commands and serve alike.
+struct Registries {
+  VfsIds base_ids;
+  VfsIds mm_ids;
+  std::unique_ptr<TypeRegistry> base = BuildVfsRegistry(&base_ids);
+  std::unique_ptr<TypeRegistry> mm = BuildVfsMmRegistry(&mm_ids);
 };
 
-// A trace from the mm (address-space) workload references the extended
-// registry: it allocates types past the base VFS set and/or carries ranged
-// events. Everything else — including every pre-existing archived trace —
-// loads against the base registry, keeping legacy analyses byte-identical.
-bool TraceNeedsMmRegistry(const Trace& trace) {
-  const size_t base_types = VfsBaseTypeCount();
-  for (const TraceEvent& e : trace.events()) {
-    if (e.has_range) {
-      return true;
-    }
-    if (e.kind == EventKind::kAlloc && e.type != kInvalidTypeId && e.type >= base_types) {
-      return true;
-    }
-  }
-  return false;
+const Registries& CliRegistries() {
+  static const Registries* const registries = new Registries;
+  return *registries;
 }
 
-// True when `registry` is the extended (mm) registry; used to append the mm
-// workload's documented rules without touching the base rule text.
-bool IsMmRegistry(const TypeRegistry& registry) {
-  return registry.type_count() > VfsBaseTypeCount();
-}
-
-// Picks the registry matching a .lockdb file by peeking at the recorded
-// type count. Errors fall back to the base registry: LoadSnapshot produces
-// the proper typed error for a damaged file.
-std::unique_ptr<TypeRegistry> RegistryForSnapshotFile(const std::string& path, VfsIds* ids) {
-  auto type_count = PeekSnapshotTypeCount(path);
-  if (type_count.ok() && type_count.value() > VfsBaseTypeCount()) {
-    return BuildVfsMmRegistry(ids);
-  }
-  return BuildVfsRegistry(ids);
-}
+struct LoadedTrace {
+  const TypeRegistry* registry = nullptr;
+  Trace trace;
+};
 
 bool LoadTraceFromPath(const std::string& path, const FlagSet& flags, LoadedTrace* out) {
   TraceReadOptions options;
@@ -209,8 +192,8 @@ bool LoadTraceFromPath(const std::string& path, const FlagSet& flags, LoadedTrac
                  static_cast<unsigned long long>(report.events_dropped));
   }
   out->trace = std::move(loaded).value();
-  out->registry = TraceNeedsMmRegistry(out->trace) ? BuildVfsMmRegistry(&out->ids)
-                                                   : BuildVfsRegistry(&out->ids);
+  const Registries& registries = CliRegistries();
+  out->registry = &PickTraceRegistry(out->trace, *registries.base, registries.mm.get());
   return true;
 }
 
@@ -227,17 +210,16 @@ bool LoadTrace(const FlagSet& flags, LoadedTrace* out) {
 // ("snapshot load" phase). Either way the downstream analyses are
 // byte-identical.
 struct AnalysisInput {
-  VfsIds ids;
-  std::unique_ptr<TypeRegistry> registry;
+  const TypeRegistry* registry = nullptr;
   AnalysisSnapshot snapshot;
   PipelineTimings timings;
-  bool from_snapshot = false;
 };
 
 // Loads `path` (trace or .lockdb) and the registry matching it into `out`.
 bool LoadSnapshotFromPath(const std::string& path, const FlagSet& flags, AnalysisInput* out) {
   if (IsSnapshotFile(path)) {
-    out->registry = RegistryForSnapshotFile(path, &out->ids);
+    const Registries& registries = CliRegistries();
+    out->registry = &PickSnapshotRegistry(path, *registries.base, registries.mm.get());
     auto t0 = std::chrono::steady_clock::now();
     auto loaded = LoadSnapshot(path, *out->registry);
     if (!loaded.ok()) {
@@ -259,17 +241,14 @@ bool LoadSnapshotFromPath(const std::string& path, const FlagSet& flags, Analysi
     uint64_t size = std::filesystem::file_size(path, ec);
     out->timings.Add("snapshot load", SecondsBetween(t0, std::chrono::steady_clock::now()),
                      ec ? 0 : size);
-    out->from_snapshot = true;
     return true;
   }
   LoadedTrace input;
   if (!LoadTraceFromPath(path, flags, &input)) {
     return false;
   }
-  out->ids = input.ids;
-  out->registry = std::move(input.registry);
+  out->registry = input.registry;
   out->snapshot = BuildSnapshot(input.trace, *out->registry, MakeOptions(flags), &out->timings);
-  out->from_snapshot = false;
   return true;
 }
 
@@ -466,44 +445,6 @@ std::string RenderOutput(const PassOutput& out, ReportFormat format) {
   return RenderReportDocument(out.doc, format);
 }
 
-// The shared shell of every single-input analysis command: load the input
-// into a snapshot, wrap it in an AnalysisContext, run the registered pass
-// of the same name, emit its bytes in the requested format.
-int RunPassCommand(const std::string& command, const FlagSet& flags) {
-  const AnalysisPass* pass = PassRegistry::Default().Find(command);
-  LOCKDOC_CHECK(pass != nullptr);
-  ReportFormat format;
-  std::shared_ptr<const FilterConfig> filter;
-  if (!ParseFormatFlag(command, flags, &format) ||
-      !LoadForensicsFilter(command, flags, &filter)) {
-    return 64;
-  }
-  AnalysisInput input;
-  if (!LoadAnalysisInput(flags, &input)) {
-    return 1;
-  }
-  AnalysisOptions options;
-  options.pipeline = MakeOptions(flags);
-  if (!FillPassOptions(command, flags, IsMmRegistry(*input.registry), &options.pass)) {
-    return 1;
-  }
-  options.pass.forensics_filter = std::move(filter);
-  AnalysisContext context(&input.snapshot, input.registry.get(), std::move(options),
-                          &input.timings);
-  PassOutput out;
-  Status status = pass->Run(context, out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "lockdoc: %s\n", status.message().c_str());
-    return 1;
-  }
-  if (!EmitTimings(flags, input.timings)) {
-    return 1;
-  }
-  std::string rendered = RenderOutput(out, format);
-  std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-  return 0;
-}
-
 int CmdSimulate(const FlagSet& flags) {
   std::string out = flags.GetString("out", "");
   if (out.empty()) {
@@ -621,9 +562,9 @@ int CmdStats(const FlagSet& flags) {
   }
   const std::string& path = flags.positional()[1];
   if (IsSnapshotFile(path)) {
-    VfsIds ids;
-    std::unique_ptr<TypeRegistry> registry = RegistryForSnapshotFile(path, &ids);
-    auto loaded = LoadSnapshot(path, *registry);
+    const Registries& registries = CliRegistries();
+    auto loaded =
+        LoadSnapshot(path, PickSnapshotRegistry(path, *registries.base, registries.mm.get()));
     if (!loaded.ok()) {
       std::fprintf(stderr, "lockdoc: %s\n", loaded.status().message().c_str());
       return 1;
@@ -639,147 +580,115 @@ int CmdStats(const FlagSet& flags) {
   return 0;
 }
 
-// diff takes two inputs, so it cannot go through RunPassCommand: the OLD
-// side becomes a baseline AnalysisContext handed to the diff pass via
-// PassOptions.
-int CmdDiff(const FlagSet& flags) {
-  if (flags.positional().size() < 3) {
-    std::fprintf(stderr, "lockdoc diff: need two input files\n");
-    return 2;
-  }
-  const AnalysisPass* pass = PassRegistry::Default().Find("diff");
-  LOCKDOC_CHECK(pass != nullptr);
-  ReportFormat format;
-  if (!ParseFormatFlag("diff", flags, &format)) {
-    return 64;
-  }
-
-  // Each side picks its own registry (a base-VFS OLD can be diffed against
-  // an mm NEW; class names render identically across both).
-  AnalysisInput old_input;
-  if (!LoadSnapshotFromPath(flags.positional()[1], flags, &old_input)) {
-    return 1;
-  }
-  AnalysisOptions baseline_options;
-  baseline_options.pipeline = MakeOptions(flags);
-  AnalysisContext baseline(&old_input.snapshot, old_input.registry.get(),
-                           std::move(baseline_options), &old_input.timings);
-
-  AnalysisInput new_input;
-  if (!LoadSnapshotFromPath(flags.positional()[2], flags, &new_input)) {
-    return 1;
-  }
-  AnalysisOptions options;
-  options.pipeline = MakeOptions(flags);
-  if (!FillPassOptions("diff", flags, IsMmRegistry(*new_input.registry), &options.pass)) {
-    return 1;
-  }
-  options.pass.baseline = &baseline;
-  AnalysisContext context(&new_input.snapshot, new_input.registry.get(), std::move(options),
-                          &new_input.timings);
-
-  PassOutput out;
-  Status status = pass->Run(context, out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "lockdoc: %s\n", status.message().c_str());
-    return 1;
-  }
-  // Two timing blocks (OLD then NEW) as before the pass framework; the JSON
-  // file gets the NEW input's timings.
-  if (!EmitTimings(flags, old_input.timings, /*write_json=*/false) ||
-      !EmitTimings(flags, new_input.timings)) {
-    return 1;
-  }
-  std::string rendered = RenderOutput(out, format);
-  std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-  return 0;
-}
-
-// The tentpole command: run any subset of the registered analysis passes
-// over ONE shared AnalysisContext. The input is loaded once, rules are
-// derived once ("rule derivation (interned)" appears exactly once in
-// --timings), the shared indexes are built at most once, and each pass's
-// output — byte-identical to its standalone command — goes to stdout in
-// pass order, or to DIR/<pass>.txt with --out-dir.
-int CmdAnalyze(const FlagSet& flags) {
+// analyze's pass list, resolved before touching any input so a bogus
+// --passes is a usage error rather than a half-done run. Default: every
+// single-input pass, plus diff when a baseline was given. False after
+// printing the usage error.
+bool SelectAnalyzePasses(const FlagSet& flags, bool has_baseline,
+                         std::vector<const AnalysisPass*>* selected) {
   const PassRegistry& passes = PassRegistry::Default();
-  ReportFormat format;
-  std::shared_ptr<const FilterConfig> filter;
-  if (!ParseFormatFlag("analyze", flags, &format) ||
-      !LoadForensicsFilter("analyze", flags, &filter)) {
-    return 64;
-  }
-  bool has_baseline = flags.Has("baseline");
-  if (has_baseline && flags.GetString("baseline", "") == "true") {
-    std::fprintf(stderr, "lockdoc analyze: --baseline requires an input file\n");
-    return 64;
-  }
-
-  // Resolve the pass list before touching any input, so a bogus --passes is
-  // a usage error rather than a half-done run. Default: every single-input
-  // pass, plus diff when a baseline was given.
-  std::vector<const AnalysisPass*> selected;
   std::string spec = flags.GetString("passes", "");
   if (spec.empty()) {
     for (const auto& pass : passes.passes()) {
       if (pass->name() != "diff" || has_baseline) {
-        selected.push_back(pass.get());
+        selected->push_back(pass.get());
       }
     }
-  } else {
-    for (const std::string& token : SplitAndTrim(spec, ',')) {
-      const AnalysisPass* pass = passes.Find(token);
-      if (pass == nullptr) {
-        std::fprintf(stderr, "lockdoc analyze: unknown pass '%s' (available: %s)\n",
-                     token.c_str(), passes.JoinedNames().c_str());
-        return 64;
-      }
-      selected.push_back(pass);
-    }
-    if (selected.empty()) {
-      std::fprintf(stderr, "lockdoc analyze: --passes names no passes (available: %s)\n",
-                   passes.JoinedNames().c_str());
-      return 64;
-    }
+    return true;
   }
-  for (const AnalysisPass* pass : selected) {
+  for (const std::string& token : SplitAndTrim(spec, ',')) {
+    const AnalysisPass* pass = passes.Find(token);
+    if (pass == nullptr) {
+      std::fprintf(stderr, "lockdoc analyze: unknown pass '%s' (available: %s)\n",
+                   token.c_str(), passes.JoinedNames().c_str());
+      return false;
+    }
+    selected->push_back(pass);
+  }
+  if (selected->empty()) {
+    std::fprintf(stderr, "lockdoc analyze: --passes names no passes (available: %s)\n",
+                 passes.JoinedNames().c_str());
+    return false;
+  }
+  for (const AnalysisPass* pass : *selected) {
     if (pass->name() == "diff" && !has_baseline) {
       std::fprintf(stderr, "lockdoc analyze: the diff pass needs --baseline OLD\n");
-      return 64;
+      return false;
     }
   }
+  return true;
+}
 
-  AnalysisInput input;
-  if (!LoadAnalysisInput(flags, &input)) {
-    return 1;
+// The one runner behind every phase-3 command: `lockdoc P FILE` runs [P],
+// `lockdoc diff OLD NEW` runs [diff] over NEW with OLD as the baseline, and
+// `lockdoc analyze FILE` runs --passes (diff against --baseline OLD). The
+// passes share ONE AnalysisContext: the input is loaded once, rules are
+// derived once ("rule derivation (interned)" appears exactly once in
+// --timings), the shared indexes are built at most once, and each pass's
+// output goes to stdout in pass order — or, for analyze --out-dir, to
+// DIR/<pass>.<ext>.
+int CmdPasses(const std::string& command, const FlagSet& flags) {
+  const bool analyze = command == "analyze";
+  const bool diff = command == "diff";
+  if (diff && flags.positional().size() < 3) {
+    std::fprintf(stderr, "lockdoc diff: need two input files\n");
+    return 2;
   }
-  AnalysisOptions options;
-  options.pipeline = MakeOptions(flags);
-  if (!FillPassOptions("analyze", flags, IsMmRegistry(*input.registry), &options.pass)) {
-    return 1;
+  ReportFormat format;
+  std::shared_ptr<const FilterConfig> filter;
+  if (!ParseFormatFlag(command, flags, &format) ||
+      !LoadForensicsFilter(command, flags, &filter)) {
+    return 64;
   }
-  options.pass.forensics_filter = std::move(filter);
+  const bool has_baseline = diff || flags.Has("baseline");
+  const std::string baseline_path =
+      diff ? flags.positional()[1] : flags.GetString("baseline", "");
+  if (analyze && has_baseline && baseline_path == "true") {
+    std::fprintf(stderr, "lockdoc analyze: --baseline requires an input file\n");
+    return 64;
+  }
+  std::vector<const AnalysisPass*> selected;
+  if (!analyze) {
+    selected.push_back(PassRegistry::Default().Find(command));
+    LOCKDOC_CHECK(selected.front() != nullptr);
+  } else if (!SelectAnalyzePasses(flags, has_baseline, &selected)) {
+    return 64;
+  }
 
-  // The OLD side for the diff pass, with its own matching registry.
+  // The baseline loads first, with its own matching registry: a base-VFS
+  // OLD can be diffed against an mm NEW (class names render identically
+  // across both).
   AnalysisInput baseline_input;
   std::unique_ptr<AnalysisContext> baseline;
   if (has_baseline) {
-    if (!LoadSnapshotFromPath(flags.GetString("baseline", ""), flags, &baseline_input)) {
+    if (!LoadSnapshotFromPath(baseline_path, flags, &baseline_input)) {
       return 1;
     }
     AnalysisOptions baseline_options;
     baseline_options.pipeline = MakeOptions(flags);
     baseline = std::make_unique<AnalysisContext>(&baseline_input.snapshot,
-                                                 baseline_input.registry.get(),
+                                                 baseline_input.registry,
                                                  std::move(baseline_options),
                                                  &baseline_input.timings);
-    options.pass.baseline = baseline.get();
   }
+  AnalysisInput input;
+  if (diff ? !LoadSnapshotFromPath(flags.positional()[2], flags, &input)
+           : !LoadAnalysisInput(flags, &input)) {
+    return 1;
+  }
+  AnalysisOptions options;
+  options.pipeline = MakeOptions(flags);
+  if (!FillPassOptions(command, flags, input.registry == CliRegistries().mm.get(),
+                       &options.pass)) {
+    return 1;
+  }
+  options.pass.forensics_filter = std::move(filter);
+  options.pass.baseline = baseline.get();
+  AnalysisContext context(&input.snapshot, input.registry, std::move(options), &input.timings);
 
-  AnalysisContext context(&input.snapshot, input.registry.get(), std::move(options),
-                          &input.timings);
-
-  std::string out_dir = flags.GetString("out-dir", "");
+  // Only analyze writes per-pass files; derive's --out-dir is the
+  // documentation bundle (FillPassOptions).
+  const std::string out_dir = analyze ? flags.GetString("out-dir", "") : "";
   if (!out_dir.empty()) {
     std::filesystem::create_directories(out_dir);
   }
@@ -806,6 +715,8 @@ int CmdAnalyze(const FlagSet& flags) {
       ++files_written;
     }
   }
+  // Two timing blocks when there is a baseline, baseline first; the JSON
+  // file gets the main input's.
   if (baseline != nullptr && !EmitTimings(flags, baseline_input.timings, /*write_json=*/false)) {
     return 1;
   }
@@ -895,9 +806,9 @@ int DoctorSnapshot(const std::string& path, const std::string& repair_out) {
     return 1;
   }
 
-  VfsIds ids;
-  std::unique_ptr<TypeRegistry> registry = RegistryForSnapshotFile(path, &ids);
-  auto loaded = DeserializeSnapshot(bytes, *registry);
+  const Registries& registries = CliRegistries();
+  auto loaded =
+      DeserializeSnapshot(bytes, PickSnapshotRegistry(path, *registries.base, registries.mm.get()));
   if (!loaded.ok()) {
     std::printf("%s: sections intact but payload invalid\n", path.c_str());
     std::printf("%s", inspection.ToString().c_str());
@@ -1060,11 +971,9 @@ int CmdServe(const FlagSet& flags) {
     return 64;
   }
 
-  VfsIds ids;
-  std::unique_ptr<TypeRegistry> registry = BuildVfsRegistry(&ids);
-  VfsIds mm_ids;
-  std::unique_ptr<TypeRegistry> mm_registry = BuildVfsMmRegistry(&mm_ids);
-  ServeService service(layout, registry.get(), std::move(options), mm_registry.get());
+  const Registries& registries = CliRegistries();
+  ServeService service(layout, registries.base.get(), std::move(options),
+                       registries.mm.get());
   if (Status status = service.Recover(); !status.ok()) {
     std::fprintf(stderr, "lockdoc serve: recovery: %s\n", status.message().c_str());
     return 1;
@@ -1197,17 +1106,11 @@ int main(int argc, char** argv) {
   if (command == "stats") {
     return CmdStats(flags);
   }
-  // The single-input phase-3 analyses are all registered passes sharing one
-  // command shell.
+  // Every phase-3 command runs its registered passes through one runner.
   if (command == "derive" || command == "check" || command == "violations" ||
-      command == "lock-order" || command == "modes" || command == "report") {
-    return RunPassCommand(command, flags);
-  }
-  if (command == "diff") {
-    return CmdDiff(flags);
-  }
-  if (command == "analyze") {
-    return CmdAnalyze(flags);
+      command == "lock-order" || command == "modes" || command == "report" ||
+      command == "diff" || command == "analyze") {
+    return CmdPasses(command, flags);
   }
   if (command == "export-csv") {
     return CmdExportCsv(flags);
