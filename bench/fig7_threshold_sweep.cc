@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       DerivatorOptions options;
       options.accept_threshold = thresholds[t];
       RuleDerivator derivator(options);
-      for (const auto& [key, groups] : run.pipeline.snapshot.observations.groups()) {
+      for (const MemberObsKey& key : run.pipeline.snapshot.observations.keys()) {
         if (key.type == inode_type) {
           continue;  // The paper's Fig. 7 excludes the inode subclasses.
         }

@@ -3,6 +3,9 @@
 // the paper's design decision (Sec. 5.4) to enumerate subsets of *observed*
 // lock combinations instead of the powerset of all locks in the system, and
 // quantifies the cost of the optional order-permutation enumeration.
+#include <algorithm>
+#include <utility>
+
 #include <benchmark/benchmark.h>
 
 #include "src/core/derivator.h"
@@ -34,15 +37,14 @@ ObservationStore BuildStore(size_t depth, size_t distinct, size_t observations,
     }
     seq_ids.push_back(store.InternSeq(seq));
   }
-  auto& groups = store.MutableGroups(key);
   for (size_t i = 0; i < observations; ++i) {
     ObservationGroup group;
     group.lockseq_id = seq_ids[rng.Below(seq_ids.size())];
     group.txn_id = i;
     group.alloc_id = 1;
     group.n_writes = 1;
-    group.seqs.push_back(i);
-    groups.push_back(std::move(group));
+    group.seqs = ColumnView(&group.txn_id, sizeof(group.txn_id), 1);
+    store.AppendGroup(key, group);
   }
   return store;
 }
@@ -61,12 +63,17 @@ ObservationStore BuildWideStore(size_t members, size_t depth, size_t distinct,
     }
     seq_ids.push_back(store.InternSeq(seq));
   }
+  // Groups are appended in key order.
+  std::vector<std::pair<MemberObsKey, size_t>> keys;
   for (size_t m = 0; m < members; ++m) {
     MemberObsKey key;
     key.type = static_cast<TypeId>(m % 7);
     key.subclass = kNoSubclass;
     key.member = static_cast<MemberIndex>(m);
-    auto& groups = store.MutableGroups(key);
+    keys.emplace_back(key, m);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (const auto& [key, m] : keys) {
     for (size_t i = 0; i < observations_per_member; ++i) {
       ObservationGroup group;
       group.lockseq_id = seq_ids[rng.Below(seq_ids.size())];
@@ -77,8 +84,9 @@ ObservationStore BuildWideStore(size_t members, size_t depth, size_t distinct,
       } else {
         group.n_writes = 1;
       }
-      group.seqs.push_back(i);
-      groups.push_back(std::move(group));
+      const uint64_t seq = i;
+      group.seqs = ColumnView(&seq, sizeof(seq), 1);
+      store.AppendGroup(key, group);
     }
   }
   return store;

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   std::printf("lock instances:                %s\n",
               FormatWithCommas(snapshot.import_stats.lock_instances).c_str());
   std::printf("derived rules:                 %zu (for %zu member populations)\n",
-              rules.size(), snapshot.observations.groups().size());
+              rules.size(), snapshot.observations.keys().size());
   uint64_t counterexamples = 0;
   for (const Violation& violation : violations) {
     counterexamples += violation.seqs.size();

@@ -2,6 +2,7 @@
 // access type for one execution of the clock example's transactions a and
 // b — observed counts, folded counts, and the write-over-read matrix.
 #include <cstdio>
+#include <optional>
 
 #include "src/core/clock_example.h"
 #include "src/core/pipeline.h"
@@ -22,16 +23,16 @@ struct Cell {
 Cell ExtractCell(const ObservationStore& store, const MemberObsKey& key,
                  const std::string& txn_locks) {
   Cell cell;
-  const ObservationGroup* first = nullptr;
+  std::optional<ObservationGroup> first;
   for (const ObservationGroup& group : store.GroupsFor(key)) {
     if (LockSeqToString(store.seq(group.lockseq_id)) != txn_locks) {
       continue;
     }
-    if (first == nullptr || group.txn_id < first->txn_id) {
-      first = &group;
+    if (!first.has_value() || group.txn_id < first->txn_id) {
+      first = group;
     }
   }
-  if (first != nullptr) {
+  if (first.has_value()) {
     cell.observed_r = first->n_reads;
     cell.observed_w = first->n_writes;
     cell.folded_r = first->n_reads > 0 ? 1 : 0;

@@ -40,7 +40,7 @@ const std::vector<DerivationResult>& AnalysisContext::rules() {
     RuleDerivator derivator(options_.pipeline.derivator);
     rules_ = derivator.DeriveAll(snapshot_->observations, &pool_);
     timings_->Add("rule derivation (interned)", Seconds(t0, Clock::now()),
-                  static_cast<uint64_t>(snapshot_->observations.groups().size()) * 2);
+                  static_cast<uint64_t>(snapshot_->observations.keys().size()) * 2);
     timings_->mining.enum_cache_hits = snapshot_->observations.enum_cache_hits();
     timings_->mining.enum_cache_misses = snapshot_->observations.enum_cache_misses();
     for (const DerivationResult& rule : rules_) {

@@ -159,9 +159,9 @@ class AnalysisContext {
     if (entry == nullptr) {
       return;
     }
-    const std::vector<ObservationGroup>& groups = observations().GroupsFor(key);
+    const auto groups = observations().GroupsFor(key);
     for (uint32_t index : entry->For(access)) {
-      const ObservationGroup& group = groups[index];
+      const ObservationGroup group = groups[index];
       visit(group, rule.Complies(group.lockseq_id));
     }
   }

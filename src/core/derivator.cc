@@ -294,7 +294,7 @@ DerivationResult RuleDerivator::Derive(const ObservationStore& store, const Memb
 
 std::vector<DerivationResult> RuleDerivator::DeriveAll(const ObservationStore& store,
                                                        ThreadPool* pool) const {
-  // Work items in key order (the groups map is ordered), with the observed
+  // Work items in key order (the store's keys are sorted), with the observed
   // counts for both access types prefolded in one serial pass per member.
   // Each item writes only its own slot and the observed() filter below runs
   // in item order, so results are byte-identical at any thread count.
@@ -305,12 +305,13 @@ std::vector<DerivationResult> RuleDerivator::DeriveAll(const ObservationStore& s
     uint64_t total = 0;
   };
   std::vector<WorkItem> items;
-  items.reserve(store.groups().size() * 2);
+  items.reserve(store.keys().size() * 2);
   std::array<std::vector<uint64_t>, 2> counts;
   std::array<std::vector<uint32_t>, 2> touched;
   counts.fill(std::vector<uint64_t>(store.distinct_seqs(), 0));
-  for (const auto& [key, groups] : store.groups()) {
-    for (const ObservationGroup& group : groups) {
+  for (size_t k = 0; k < store.keys().size(); ++k) {
+    const MemberObsKey& key = store.keys()[k];
+    for (const ObservationGroup& group : store.GroupsAt(k)) {
       size_t side = group.effective() == AccessType::kWrite ? 1 : 0;
       LOCKDOC_CHECK(group.lockseq_id < counts[side].size());
       if (counts[side][group.lockseq_id]++ == 0) {

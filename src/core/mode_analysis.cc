@@ -32,7 +32,7 @@ struct LockRowIds {
 std::vector<LockRowIds> InternLockRows(const Database& db, const TypeRegistry& registry,
                                        const LockClassPool& pool) {
   const Table& locks = db.table(LockDocSchema::kLocks);
-  const uint64_t* owner_alloc = locks.ColumnU64Data(locks.ColumnIndex("owner_alloc_id"));
+  const ColumnView owner_alloc = locks.Column(locks.ColumnIndex("owner_alloc_id"));
   auto find = [&pool](const LockClass& cls) { return pool.Find(cls).value_or(kNoLockId); };
   std::vector<LockRowIds> ids(locks.row_count());
   for (RowId row = 0; row < locks.row_count(); ++row) {
@@ -48,11 +48,13 @@ std::vector<ModeReportEntry> ModeAnalyzer::Analyze(
     const std::vector<DerivationResult>& results) const {
   const Table& txn_locks = db_->table(LockDocSchema::kTxnLocks);
   const size_t kTlTxn = txn_locks.ColumnIndex("txn_id");
-  const uint64_t* tl_pos = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("position"));
-  const uint64_t* tl_lock = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("lock_id"));
-  const uint64_t* tl_mode = txn_locks.ColumnU64Data(txn_locks.ColumnIndex("mode"));
+  // Column views at their stored width: the tables may be mapped from a
+  // .lockdb.
+  const ColumnView tl_pos = txn_locks.Column(txn_locks.ColumnIndex("position"));
+  const ColumnView tl_lock = txn_locks.Column(txn_locks.ColumnIndex("lock_id"));
+  const ColumnView tl_mode = txn_locks.Column(txn_locks.ColumnIndex("mode"));
   const Table& locks = db_->table(LockDocSchema::kLocks);
-  const uint64_t* owner_alloc = locks.ColumnU64Data(locks.ColumnIndex("owner_alloc_id"));
+  const ColumnView owner_alloc = locks.Column(locks.ColumnIndex("owner_alloc_id"));
   const std::vector<LockRowIds> lock_ids = InternLockRows(*db_, *registry_, store_->pool());
 
   // Each result fills its own slot; slots are concatenated in rule order

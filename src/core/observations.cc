@@ -12,8 +12,6 @@
 
 namespace lockdoc {
 
-const std::vector<ObservationGroup> ObservationStore::kEmptyGroups;
-
 // Per-store subsequence-enumeration cache. Entries are heap-allocated so
 // their once_flags stay put when the store moves; the mutex guards only
 // (re)building the entry table, and call_once makes each entry's fill
@@ -94,12 +92,20 @@ uint64_t ObservationStore::enum_cache_misses() const {
   return enum_cache_ == nullptr ? 0 : enum_cache_->misses.load(std::memory_order_relaxed);
 }
 
-void ObservationStore::ResetForSnapshot(
-    LockClassPool pool, std::vector<IdSeq> id_seqs,
-    std::map<MemberObsKey, std::vector<ObservationGroup>> groups) {
+void ObservationStore::ResetForSnapshot(LockClassPool pool, std::vector<IdSeq> id_seqs,
+                                        std::vector<MemberObsKey> keys,
+                                        std::vector<size_t> key_begin,
+                                        std::vector<size_t> seq_begin, GroupColumns columns) {
+  LOCKDOC_CHECK(key_begin.size() == keys.size() + 1 && !seq_begin.empty() &&
+                key_begin.back() == seq_begin.size() - 1);
   pool_ = std::move(pool);
   id_seqs_ = std::move(id_seqs);
-  groups_ = std::move(groups);
+  keys_ = std::move(keys);
+  key_begin_ = std::move(key_begin);
+  seq_begin_ = std::move(seq_begin);
+  columns_ = columns;
+  owned_ = {};
+  loaded_ = true;
   seqs_.clear();
   seqs_.reserve(id_seqs_.size());
   seq_index_.clear();
@@ -111,9 +117,51 @@ void ObservationStore::ResetForSnapshot(
   enum_cache_ = std::make_unique<EnumCache>();
 }
 
-const std::vector<ObservationGroup>& ObservationStore::GroupsFor(const MemberObsKey& key) const {
-  auto it = groups_.find(key);
-  return it == groups_.end() ? kEmptyGroups : it->second;
+void ObservationStore::ViewOwnedArrays() {
+  columns_.lockseq = ColumnView(owned_.lockseq);
+  columns_.txn = ColumnView(owned_.txn);
+  columns_.alloc = ColumnView(owned_.alloc);
+  columns_.n_reads = ColumnView(owned_.n_reads);
+  columns_.n_writes = ColumnView(owned_.n_writes);
+  columns_.seqs = ColumnView(owned_.seqs);
+}
+
+size_t ObservationStore::FindKey(const MemberObsKey& key) const {
+  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  return it != keys_.end() && *it == key ? static_cast<size_t>(it - keys_.begin())
+                                         : keys_.size();
+}
+
+ObservationGroup ObservationStore::group(size_t index) const {
+  LOCKDOC_CHECK(index < group_count());
+  ObservationGroup group;
+  group.lockseq_id = static_cast<uint32_t>(columns_.lockseq[index]);
+  group.txn_id = columns_.txn[index];
+  group.alloc_id = columns_.alloc[index];
+  group.n_reads = static_cast<uint32_t>(columns_.n_reads[index]);
+  group.n_writes = static_cast<uint32_t>(columns_.n_writes[index]);
+  group.seqs = columns_.seqs.Slice(seq_begin_[index], seq_begin_[index + 1]);
+  return group;
+}
+
+void ObservationStore::AppendGroup(const MemberObsKey& key, const ObservationGroup& group) {
+  LOCKDOC_CHECK(!loaded_ && "a loaded store views its groups");
+  LOCKDOC_CHECK(group.lockseq_id < id_seqs_.size());
+  LOCKDOC_CHECK(uint64_t{group.n_reads} + group.n_writes == group.seqs.size());
+  if (keys_.empty() || keys_.back() < key) {
+    keys_.push_back(key);
+    key_begin_.push_back(key_begin_.back());
+  }
+  LOCKDOC_CHECK(keys_.back() == key && "groups are appended in key order");
+  ++key_begin_.back();
+  owned_.lockseq.push_back(group.lockseq_id);
+  owned_.txn.push_back(group.txn_id);
+  owned_.alloc.push_back(group.alloc_id);
+  owned_.n_reads.push_back(group.n_reads);
+  owned_.n_writes.push_back(group.n_writes);
+  owned_.seqs.insert(owned_.seqs.end(), group.seqs.begin(), group.seqs.end());
+  seq_begin_.push_back(owned_.seqs.size());
+  ViewOwnedArrays();
 }
 
 uint64_t ObservationStore::CountObservations(const MemberObsKey& key, AccessType access) const {
@@ -128,8 +176,9 @@ uint64_t ObservationStore::CountObservations(const MemberObsKey& key, AccessType
 
 MemberAccessIndex MemberAccessIndex::Build(const ObservationStore& store) {
   MemberAccessIndex index;
-  for (const auto& [key, groups] : store.groups()) {
-    Entry& entry = index.entries_[key];
+  for (size_t k = 0; k < store.keys().size(); ++k) {
+    Entry& entry = index.entries_[store.keys()[k]];
+    const auto groups = store.GroupsAt(k);
     for (size_t i = 0; i < groups.size(); ++i) {
       entry.groups[static_cast<size_t>(groups[i].effective())].push_back(
           static_cast<uint32_t>(i));
@@ -497,26 +546,12 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
     task_seq_id[t] = it->second;
   }
 
-  // --- Groups, built in place. ---
-  // Each group's access seqs, in row order, as one flat array indexed by
-  // group; and each member key's groups, in the order the fold opened them.
-  // Every list and every group's seqs is then allocated once, at its final
-  // size. Member keys are independent, so with a pool the lanes share that
-  // allocation work, one key at a time; the store is the same either way.
-  std::vector<size_t> seq_begin(open.size() + 1, 0);
-  for (size_t g = 0; g < open.size(); ++g) {
-    seq_begin[g + 1] = seq_begin[g] + open[g].n_reads + open[g].n_writes;
-  }
-  std::vector<uint64_t> seqs(seq_begin.back());
-  {
-    std::vector<size_t> next(seq_begin.begin(), seq_begin.end() - 1);
-    size_t kept = 0;
-    for (RowId row = 0; row < accesses.row_count(); ++row) {
-      if (acc_filter[row] == static_cast<uint64_t>(FilterReason::kNone)) {
-        seqs[next[access_group[kept++]]++] = acc_seq[row];
-      }
-    }
-  }
+  // --- Groups, filled in place. ---
+  // The store keeps groups in key order and, within a key, in the order
+  // the fold opened them. Each member key's groups take one contiguous
+  // range of the arrays, so with a pool the lanes fill keys side by side;
+  // the arrays are the same either way. Each group's place gives its first
+  // seq, and one pass over the kept accesses scatters every seq to it.
   const size_t n_slots = slot_key.size();
   std::vector<size_t> slot_begin(n_slots + 1, 0);
   for (const OpenGroup& entry : open) {
@@ -532,33 +567,63 @@ ObservationStore ExtractObservations(const Database& db, const TypeRegistry& reg
       slot_group[next[open[g].slot]++] = static_cast<uint32_t>(g);
     }
   }
-  std::vector<std::vector<ObservationGroup>> slot_groups(n_slots);
-  auto build = [&](size_t begin, size_t end) {
-    for (size_t slot = begin; slot < end; ++slot) {
-      std::vector<ObservationGroup>& groups = slot_groups[slot];
-      groups.reserve(slot_begin[slot + 1] - slot_begin[slot]);
-      for (size_t i = slot_begin[slot]; i < slot_begin[slot + 1]; ++i) {
+  // Slots in key order, and the first place of each.
+  std::vector<uint32_t> key_order;
+  key_order.reserve(n_slots);
+  store.keys_.reserve(n_slots);
+  store.key_begin_.assign(1, 0);
+  for (const auto& [key, slot] : key_slot) {
+    key_order.push_back(slot);
+    store.keys_.push_back(key);
+    store.key_begin_.push_back(store.key_begin_.back() + slot_begin[slot + 1] - slot_begin[slot]);
+  }
+  std::vector<uint64_t>& lockseq = store.owned_.lockseq;
+  std::vector<uint64_t>& txn = store.owned_.txn;
+  std::vector<uint64_t>& alloc = store.owned_.alloc;
+  std::vector<uint64_t>& n_reads = store.owned_.n_reads;
+  std::vector<uint64_t>& n_writes = store.owned_.n_writes;
+  for (std::vector<uint64_t>* field : {&lockseq, &txn, &alloc, &n_reads, &n_writes}) {
+    field->resize(open.size());
+  }
+  std::vector<uint32_t> place(open.size());  // Each group's index in the store.
+  auto fill = [&](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      const uint32_t slot = key_order[k];
+      size_t at = store.key_begin_[k];
+      for (size_t i = slot_begin[slot]; i < slot_begin[slot + 1]; ++i, ++at) {
         const uint32_t g = slot_group[i];
         const OpenGroup& entry = open[g];
-        ObservationGroup& group = groups.emplace_back();
-        group.lockseq_id = task_seq_id[entry.task];
-        group.txn_id = tasks[entry.task].txn;
-        group.alloc_id = entry.alloc;
-        group.n_reads = entry.n_reads;
-        group.n_writes = entry.n_writes;
-        group.seqs.assign(seqs.begin() + static_cast<ptrdiff_t>(seq_begin[g]),
-                          seqs.begin() + static_cast<ptrdiff_t>(seq_begin[g + 1]));
+        lockseq[at] = task_seq_id[entry.task];
+        txn[at] = tasks[entry.task].txn;
+        alloc[at] = entry.alloc;
+        n_reads[at] = entry.n_reads;
+        n_writes[at] = entry.n_writes;
+        place[g] = static_cast<uint32_t>(at);
       }
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(n_slots, build);
+    pool->ParallelFor(n_slots, fill);
   } else {
-    build(0, n_slots);
+    fill(0, n_slots);
   }
-  for (size_t slot = 0; slot < slot_key.size(); ++slot) {
-    store.MutableGroups(slot_key[slot]) = std::move(slot_groups[slot]);
+  store.seq_begin_.resize(open.size() + 1);
+  store.seq_begin_[0] = 0;
+  for (size_t at = 0; at < open.size(); ++at) {
+    store.seq_begin_[at + 1] = store.seq_begin_[at] + n_reads[at] + n_writes[at];
   }
+  std::vector<uint64_t>& seqs = store.owned_.seqs;
+  seqs.resize(store.seq_begin_.back());
+  {
+    std::vector<size_t> next(store.seq_begin_.begin(), store.seq_begin_.end() - 1);
+    size_t kept = 0;
+    for (RowId row = 0; row < accesses.row_count(); ++row) {
+      if (acc_filter[row] == static_cast<uint64_t>(FilterReason::kNone)) {
+        seqs[next[place[access_group[kept++]]]++] = acc_seq[row];
+      }
+    }
+  }
+  store.ViewOwnedArrays();
   return store;
 }
 

@@ -9,9 +9,11 @@
 #include <compare>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <unordered_map>
 #include <vector>
 
+#include "src/db/column.h"
 #include "src/db/database.h"
 #include "src/model/ids.h"
 #include "src/model/lock_class.h"
@@ -32,7 +34,8 @@ struct MemberObsKey {
 };
 
 // One folded observation: "member m of allocation a was accessed in
-// transaction t while holding this lock sequence".
+// transaction t while holding this lock sequence". A small value the store
+// builds on access from its flat arrays; it holds no container.
 struct ObservationGroup {
   // Interned index into ObservationStore's lock-sequence pool.
   uint32_t lockseq_id = 0;
@@ -41,13 +44,28 @@ struct ObservationGroup {
   uint32_t n_reads = 0;
   uint32_t n_writes = 0;
   // Raw trace sequence numbers of every contributing access (reads and
-  // writes); used by the rule-violation finder to locate contexts.
-  std::vector<uint64_t> seqs;
+  // writes), in trace order; used by the rule-violation finder to locate
+  // contexts. A view of the store's seqs array.
+  ColumnView seqs;
 
   // Write-over-read: mixed groups count as writes.
   AccessType effective() const {
     return n_writes > 0 ? AccessType::kWrite : AccessType::kRead;
   }
+};
+
+// A store's group arrays, in key order: one value per group for each field
+// of ObservationGroup, and the seqs of all groups back to back, each group's
+// n_reads + n_writes of them in group order. Views: of the store's own
+// vectors after extraction or AppendGroup, of a snapshot mapping after a
+// load.
+struct GroupColumns {
+  ColumnView lockseq;
+  ColumnView txn;
+  ColumnView alloc;
+  ColumnView n_reads;
+  ColumnView n_writes;
+  ColumnView seqs;
 };
 
 class ObservationStore {
@@ -84,34 +102,90 @@ class ObservationStore {
   uint64_t enum_cache_hits() const;
   uint64_t enum_cache_misses() const;
 
-  std::vector<ObservationGroup>& MutableGroups(const MemberObsKey& key) { return groups_[key]; }
-  const std::map<MemberObsKey, std::vector<ObservationGroup>>& groups() const { return groups_; }
+  // --- Groups: flat arrays in key order. ---
+
+  // The observed member keys, ascending.
+  const std::vector<MemberObsKey>& keys() const { return keys_; }
+  // The groups of keys()[k], in store order: a random-access range of
+  // ObservationGroup values.
+  auto GroupsAt(size_t k) const;
   // Groups for one member; empty if never observed.
-  const std::vector<ObservationGroup>& GroupsFor(const MemberObsKey& key) const;
+  auto GroupsFor(const MemberObsKey& key) const;
+  size_t group_count() const { return key_begin_.empty() ? 0 : key_begin_.back(); }
+  // Group `index` of the whole store, in key order.
+  ObservationGroup group(size_t index) const;
+  const GroupColumns& group_columns() const { return columns_; }
+
+  // Appends one group under `key`, which must not sort before the key last
+  // appended: the way to build a store by hand (tests, benches). The
+  // group's lock sequence must be interned; its seqs are copied, and its
+  // n_reads + n_writes must equal their count. CHECKs that the store owns
+  // its arrays.
+  void AppendGroup(const MemberObsKey& key, const ObservationGroup& group);
 
   // Number of observations of `key` with the given effective access type —
   // the denominator of relative support.
   uint64_t CountObservations(const MemberObsKey& key, AccessType access) const;
 
-  // Rebuilds the store from deserialized snapshot state. The string-form
-  // sequences and both reverse indexes are re-derived from `pool` +
-  // `id_seqs`, so a snapshot only carries the id-level data. The enum cache
-  // starts cold (it is a pure function of the sequences).
+  // Rebuilds the store from a loaded snapshot. The string-form sequences
+  // and both reverse indexes are re-derived from `pool` + `id_seqs`, so a
+  // snapshot only carries the id-level data. The groups view `columns`:
+  // `keys` ascending, `key_begin` the first group of each key plus the
+  // group count, `seq_begin` the first seq of each group plus the seq count.
+  // The enum cache starts cold (it is a pure function of the sequences).
   void ResetForSnapshot(LockClassPool pool, std::vector<IdSeq> id_seqs,
-                        std::map<MemberObsKey, std::vector<ObservationGroup>> groups);
+                        std::vector<MemberObsKey> keys, std::vector<size_t> key_begin,
+                        std::vector<size_t> seq_begin, GroupColumns columns);
 
  private:
   struct EnumCache;  // Defined in observations.cc (holds sync primitives).
+  // Extraction fills owned_ in place.
+  friend ObservationStore ExtractObservations(const Database& db,
+                                              const TypeRegistry& registry, ThreadPool* pool);
+
+  // Points columns_ at owned_, after the vectors changed.
+  void ViewOwnedArrays();
+  // The index of `key` in keys_, or keys_.size() when it was not observed.
+  size_t FindKey(const MemberObsKey& key) const;
+  // Groups [first, end) as ObservationGroup values.
+  auto Groups(size_t first, size_t end) const;
 
   std::vector<LockSeq> seqs_;
   std::vector<IdSeq> id_seqs_;
   LockClassPool pool_;
   std::unordered_map<LockSeq, uint32_t, LockSeqHash> seq_index_;
-  std::map<MemberObsKey, std::vector<ObservationGroup>> groups_;
+  std::vector<MemberObsKey> keys_;
+  std::vector<size_t> key_begin_{0};
+  std::vector<size_t> seq_begin_{0};
+  GroupColumns columns_;
+  // What columns_ views unless the store was loaded. A move hands the
+  // vectors' buffers over, so the views stay valid; the store has no copy.
+  struct OwnedArrays {
+    std::vector<uint64_t> lockseq;
+    std::vector<uint64_t> txn;
+    std::vector<uint64_t> alloc;
+    std::vector<uint64_t> n_reads;
+    std::vector<uint64_t> n_writes;
+    std::vector<uint64_t> seqs;
+  };
+  OwnedArrays owned_;
+  bool loaded_ = false;
   mutable std::unique_ptr<EnumCache> enum_cache_;
-
-  static const std::vector<ObservationGroup> kEmptyGroups;
 };
+
+inline auto ObservationStore::Groups(size_t first, size_t end) const {
+  return std::views::iota(first, end) |
+         std::views::transform([this](size_t index) { return group(index); });
+}
+
+inline auto ObservationStore::GroupsAt(size_t k) const {
+  return Groups(key_begin_[k], key_begin_[k + 1]);
+}
+
+inline auto ObservationStore::GroupsFor(const MemberObsKey& key) const {
+  const size_t k = FindKey(key);
+  return k == keys_.size() ? Groups(0, 0) : GroupsAt(k);
+}
 
 // Per-(member, access-type) view over a store's observation groups: for
 // every observed member, the indices (into GroupsFor(key)) of the groups
@@ -168,15 +242,17 @@ class LockPostingIndex {
   static const std::vector<uint32_t> kEmptyPostings;
 };
 
-// Builds the observation store from an imported database. The database's
-// own string pool resolves interned strings; `registry` resolves member
-// names for lock classes. One serial fold on integer ids groups the kept
-// accesses (they must be visited in seq order) and classifies each
-// distinct (txn, alloc) pair's held locks; lock-sequence ids are interned
-// in that pair's first-appearance order. The groups are then built in
-// place, member key by member key, shared over `pool` when one is given.
-// The store is a pure function of the database, identical at any thread
-// count; the working memory grows with the number of groups.
+// Builds the observation store from an imported database (owned columns,
+// as the importer or a CSV import leaves them). The database's own string
+// pool resolves interned strings; `registry` resolves member names for lock
+// classes. One serial fold on integer ids groups the kept accesses (they
+// must be visited in seq order) and classifies each distinct (txn, alloc)
+// pair's held locks; lock-sequence ids are interned in that pair's
+// first-appearance order. The group arrays are then filled in place, member
+// key by member key, shared over `pool` when one is given, and the seqs
+// scattered straight to their final places. The store is a pure function of
+// the database, identical at any thread count; the working memory grows
+// with the number of groups, never with an allocation per group.
 ObservationStore ExtractObservations(const Database& db, const TypeRegistry& registry,
                                      ThreadPool* pool = nullptr);
 

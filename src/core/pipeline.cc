@@ -1,6 +1,7 @@
 #include "src/core/pipeline.h"
 
 #include <chrono>
+#include <thread>
 
 #include "src/core/analysis_context.h"
 #include "src/util/string_util.h"
@@ -68,6 +69,21 @@ std::string PipelineTimings::ToJson() const {
   return out;
 }
 
+void ImportTrace(const Trace& trace, const TypeRegistry& registry, const FilterConfig& filter,
+                 ThreadPool& pool, AnalysisSnapshot* snapshot) {
+  std::thread stats_thread;
+  if (pool.thread_count() > 1) {
+    stats_thread = std::thread([&] { snapshot->trace_stats = ComputeTraceStats(trace); });
+  }
+  TraceImporter importer(&registry, filter);
+  snapshot->import_stats = importer.Import(trace, &snapshot->db, &pool);
+  if (stats_thread.joinable()) {
+    stats_thread.join();
+  } else {
+    snapshot->trace_stats = ComputeTraceStats(trace);
+  }
+}
+
 AnalysisSnapshot BuildSnapshot(const Trace& trace, const TypeRegistry& registry,
                                const PipelineOptions& options, PipelineTimings* timings) {
   AnalysisSnapshot snapshot;
@@ -77,9 +93,7 @@ AnalysisSnapshot BuildSnapshot(const Trace& trace, const TypeRegistry& registry,
   }
 
   auto t0 = Clock::now();
-  TraceImporter importer(&registry, options.filter);
-  snapshot.import_stats = importer.Import(trace, &snapshot.db, &pool);
-  snapshot.trace_stats = ComputeTraceStats(trace);
+  ImportTrace(trace, registry, options.filter, pool, &snapshot);
   auto t1 = Clock::now();
   if (timings != nullptr) {
     timings->Add("database import", Seconds(t0, t1), snapshot.import_stats.events);

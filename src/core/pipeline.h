@@ -104,7 +104,7 @@ struct AnalysisSnapshot {
   ImportStats import_stats;
   TraceStats trace_stats;
   ObservationStore observations;
-  // Set by the zero-copy .lockdb v2 load path; see SnapshotBacking.
+  // Set by the zero-copy .lockdb load path; see SnapshotBacking.
   std::shared_ptr<const SnapshotBacking> backing;
 };
 
@@ -113,6 +113,15 @@ struct PipelineResult {
   std::vector<DerivationResult> rules;
   PipelineTimings timings;
 };
+
+// The database import of stage 1, shared by BuildSnapshot and
+// BuildAndSaveSnapshot: imports `trace` into `snapshot->db` over `pool` and
+// fills both stats blocks. ComputeTraceStats only reads the trace, so when
+// the pool has more than one lane it runs on a second thread beside the
+// importer's replay; with one lane the two run one after the other. The
+// snapshot is the same either way.
+void ImportTrace(const Trace& trace, const TypeRegistry& registry, const FilterConfig& filter,
+                 ThreadPool& pool, AnalysisSnapshot* snapshot);
 
 // Stage 1 (ingest): database import + observation extraction. Appends the
 // "database import" and "observation extraction" phases to `timings` when

@@ -1,6 +1,7 @@
 #include "src/core/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -77,7 +78,7 @@ bool GetStats(ByteCursor& in, Stats* stats, uint64_t Stats::*const (&fields)[N])
 
 std::string EncodeMetaSection(const AnalysisSnapshot& snapshot, size_t type_count) {
   std::string payload;
-  PutVarint(payload, kSnapshotFormatVersionV2);
+  PutVarint(payload, kSnapshotFormatVersion);
   PutStats(payload, snapshot.import_stats, kImportStatsFields);
   PutStats(payload, snapshot.trace_stats, kTraceStatsFields);
   PutVarint(payload, type_count);
@@ -91,10 +92,10 @@ Status DecodeMetaSection(std::string_view payload, const TypeRegistry& registry,
   if (!GetVarint(in, &version)) {
     return Status::Error("snapshot meta: unreadable version");
   }
-  if (version != kSnapshotFormatVersionV2) {
+  if (version != kSnapshotFormatVersion) {
     return Status::Error(StrFormat("snapshot meta: format version %llu, this container reads %llu",
                                    static_cast<unsigned long long>(version),
-                                   static_cast<unsigned long long>(kSnapshotFormatVersionV2)));
+                                   static_cast<unsigned long long>(kSnapshotFormatVersion)));
   }
   if (!GetStats(in, &snapshot->import_stats, kImportStatsFields)) {
     return Status::Error("snapshot meta: bad import stats");
@@ -161,7 +162,7 @@ Status DecodePoolSection(std::string_view payload, LockClassPool* pool) {
 // Seqs section: columnar fixed-width arrays —
 //   u64 seq_count | u64 total_ids | u32 len[seq_count] | u32 ids[total_ids]
 // Decoding is a bounds-checked linear sweep with no varint branches.
-std::string EncodeSeqsSectionV2(const ObservationStore& store) {
+std::string EncodeSeqsSection(const ObservationStore& store) {
   const uint64_t count = store.distinct_seqs();
   uint64_t total_ids = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -183,7 +184,7 @@ std::string EncodeSeqsSectionV2(const ObservationStore& store) {
   return payload;
 }
 
-Status DecodeSeqsSectionV2(std::string_view payload, size_t pool_size,
+Status DecodeSeqsSection(std::string_view payload, size_t pool_size,
                            std::vector<IdSeq>* id_seqs) {
   if (payload.size() < 16) {
     return Status::Error("snapshot seqs: bad sequence count");
@@ -222,63 +223,42 @@ Status DecodeSeqsSectionV2(std::string_view payload, size_t pool_size,
   return Status::Ok();
 }
 
-// Groups section: one struct-of-arrays block (all little-endian) —
-//   u64 key_count K | u64 group_count G | u64 seq_total S
-//   u32 type[K] | u32 subclass[K] | u32 member[K] | u32 groups_per_key[K]
-//   u32 lockseq[G] | u32 n_reads[G] | u32 n_writes[G]
-//   u64 txn[G] | u64 alloc[G] | u32 seqs_per_group[G]
-//   u64 seqs[S]
-std::string EncodeGroupsSectionV2(const ObservationStore& store) {
-  const uint64_t key_count = store.groups().size();
-  uint64_t group_count = 0;
-  uint64_t seq_total = 0;
-  for (const auto& [key, groups] : store.groups()) {
-    group_count += groups.size();
-    for (const ObservationGroup& group : groups) {
-      seq_total += group.seqs.size();
-    }
+// Groups section: three counts, one width byte per array (zero-padded to
+// 8), then the arrays through the column codec, each at the width its
+// values need and padded to 8 —
+//   u64 key_count K | u64 group_count G | u64 seq_total S | u8 width[10]
+//   type[K] | subclass[K] | member[K] | groups_per_key[K]
+//   lockseq[G] | txn[G] | alloc[G] | n_reads[G] | n_writes[G] | seqs[S]
+// A group's seqs start at the running sum of n_reads + n_writes over the
+// groups before it, which the loader computes rather than reads.
+constexpr size_t kGroupArrays = 10;
+constexpr size_t kGroupsHeaderSize = PaddedPayloadSize(24 + kGroupArrays);
+
+void AddGroupsSection(const ObservationStore& store, SnapshotWriter& writer) {
+  const std::vector<MemberObsKey>& keys = store.keys();
+  std::array<std::vector<uint64_t>, 4> key_columns;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    key_columns[0].push_back(keys[k].type);
+    key_columns[1].push_back(keys[k].subclass);
+    key_columns[2].push_back(keys[k].member);
+    key_columns[3].push_back(store.GroupsAt(k).size());
   }
-  // Every array's offset is known from the three counts, so one walk
-  // stores each value in place.
-  std::string payload(24 + 16 * key_count + 32 * group_count + 8 * seq_total, '\0');
-  char* base = payload.data();
-  StoreUint64LE(base, key_count);
-  StoreUint64LE(base + 8, group_count);
-  StoreUint64LE(base + 16, seq_total);
-  char* key_type = base + 24;
-  char* key_subclass = key_type + 4 * key_count;
-  char* key_member = key_subclass + 4 * key_count;
-  char* groups_per_key = key_member + 4 * key_count;
-  char* lockseq = groups_per_key + 4 * key_count;
-  char* n_reads = lockseq + 4 * group_count;
-  char* n_writes = n_reads + 4 * group_count;
-  char* txn = n_writes + 4 * group_count;
-  char* alloc = txn + 8 * group_count;
-  char* seqs_per_group = alloc + 8 * group_count;
-  char* seqs = seqs_per_group + 4 * group_count;
-  size_t k = 0;
-  size_t g = 0;
-  for (const auto& [key, groups] : store.groups()) {
-    StoreUint32LE(key_type + 4 * k, key.type);
-    StoreUint32LE(key_subclass + 4 * k, key.subclass);
-    StoreUint32LE(key_member + 4 * k, key.member);
-    StoreUint32LE(groups_per_key + 4 * k, static_cast<uint32_t>(groups.size()));
-    ++k;
-    for (const ObservationGroup& group : groups) {
-      StoreUint32LE(lockseq + 4 * g, group.lockseq_id);
-      StoreUint32LE(n_reads + 4 * g, group.n_reads);
-      StoreUint32LE(n_writes + 4 * g, group.n_writes);
-      StoreUint64LE(txn + 8 * g, group.txn_id);
-      StoreUint64LE(alloc + 8 * g, group.alloc_id);
-      StoreUint32LE(seqs_per_group + 4 * g, static_cast<uint32_t>(group.seqs.size()));
-      ++g;
-      for (uint64_t seq : group.seqs) {
-        StoreUint64LE(seqs, seq);
-        seqs += 8;
-      }
-    }
+  const GroupColumns& groups = store.group_columns();
+  const std::array<ColumnView, kGroupArrays> arrays = {
+      ColumnView(key_columns[0]), ColumnView(key_columns[1]), ColumnView(key_columns[2]),
+      ColumnView(key_columns[3]), groups.lockseq, groups.txn, groups.alloc, groups.n_reads,
+      groups.n_writes, groups.seqs};
+  std::string header(kGroupsHeaderSize, '\0');
+  StoreUint64LE(header.data(), keys.size());
+  StoreUint64LE(header.data() + 8, store.group_count());
+  StoreUint64LE(header.data() + 16, groups.seqs.size());
+  std::vector<PayloadPiece> pieces = {std::string_view(header)};
+  for (size_t i = 0; i < kGroupArrays; ++i) {
+    const uint8_t width = NarrowestColumnWidth(arrays[i]);
+    header[24 + i] = static_cast<char>(width);
+    pieces.emplace_back(arrays[i], width);
   }
-  return payload;
+  writer.AddSection(kSnapshotSectionGroups, pieces);
 }
 
 // kNoSubclass or one of `type`'s registered subclasses.
@@ -290,85 +270,81 @@ bool IsRegisteredSubclass(const TypeRegistry& registry, TypeId type, SubclassId 
   return std::find(registered.begin(), registered.end(), subclass) != registered.end();
 }
 
-Status DecodeGroupsSectionV2(std::string_view payload, const TypeRegistry& registry,
-                             size_t seq_count,
-                             std::map<MemberObsKey, std::vector<ObservationGroup>>* groups) {
-  if (payload.size() < 24) {
+// Views the groups section's arrays in `payload` and hands them to `store`
+// after one sweep that checks what the analyses rely on: keys ascending and
+// inside the registry, every lock sequence id below `seq_count`, and group
+// counts that sum to the group total and read/write counts that sum to the
+// seq total. The sweep computes each key's first group and each group's
+// first seq; nothing is allocated per group.
+Status LoadGroupsSection(std::string_view payload, const TypeRegistry& registry,
+                         LockClassPool pool, std::vector<IdSeq> id_seqs,
+                         ObservationStore* store) {
+  if (payload.size() < kGroupsHeaderSize) {
     return Status::Error("snapshot groups: bad key count");
   }
-  uint64_t key_count = LoadUint64LE(payload.data());
-  uint64_t group_count = LoadUint64LE(payload.data() + 8);
-  uint64_t seq_total = LoadUint64LE(payload.data() + 16);
-  if (key_count > payload.size() || group_count > payload.size() ||
-      seq_total > payload.size() ||
-      payload.size() != 24 + 16 * key_count + 32 * group_count + 8 * seq_total) {
-    return Status::Error("snapshot groups: bad key count");
+  const uint64_t key_count = LoadUint64LE(payload.data());
+  const uint64_t group_count = LoadUint64LE(payload.data() + 8);
+  const uint64_t seq_total = LoadUint64LE(payload.data() + 16);
+  ByteCursor in{payload.data(), payload.size(), kGroupsHeaderSize};
+  std::array<ColumnView, kGroupArrays> arrays;
+  for (size_t i = 0; i < kGroupArrays; ++i) {
+    const uint8_t width = static_cast<uint8_t>(payload[24 + i]);
+    if (!IsColumnWidth(width)) {
+      return Status::Error(StrFormat("snapshot groups: bad array width %u", width));
+    }
+    const uint64_t rows = i < 4 ? key_count : i < 9 ? group_count : seq_total;
+    if (!ReadColumn(in, width, rows, &arrays[i])) {
+      return Status::Error("snapshot groups: array runs past the payload");
+    }
   }
-  const char* base = payload.data() + 24;
-  const char* key_type = base;
-  const char* key_subclass = key_type + 4 * key_count;
-  const char* key_member = key_subclass + 4 * key_count;
-  const char* groups_per_key = key_member + 4 * key_count;
-  const char* lockseq = groups_per_key + 4 * key_count;
-  const char* n_reads = lockseq + 4 * group_count;
-  const char* n_writes = n_reads + 4 * group_count;
-  const char* txn = n_writes + 4 * group_count;
-  const char* alloc = txn + 8 * group_count;
-  const char* seqs_per_group = alloc + 8 * group_count;
-  const char* seqs = seqs_per_group + 4 * group_count;
-
-  MemberObsKey previous;
-  uint64_t group_cursor = 0;
-  uint64_t seq_cursor = 0;
-  for (uint64_t i = 0; i < key_count; ++i) {
-    MemberObsKey key;
-    key.type = LoadUint32LE(key_type + 4 * i);
-    key.subclass = LoadUint32LE(key_subclass + 4 * i);
-    key.member = LoadUint32LE(key_member + 4 * i);
-    if (key.type >= registry.type_count() ||
-        key.member >= registry.layout(key.type).member_count() ||
-        !IsRegisteredSubclass(registry, key.type, key.subclass)) {
-      return Status::Error("snapshot groups: key out of registry range");
-    }
-    if (i > 0 && !(previous < key)) {
-      return Status::Error("snapshot groups: keys out of order");
-    }
-    previous = key;
-    uint32_t member_group_count = LoadUint32LE(groups_per_key + 4 * i);
-    if (member_group_count > group_count - group_cursor) {
-      return Status::Error("snapshot groups: bad group count");
-    }
-    std::vector<ObservationGroup> member_groups;
-    member_groups.reserve(member_group_count);
-    for (uint32_t g = 0; g < member_group_count; ++g) {
-      uint64_t row = group_cursor + g;
-      ObservationGroup group;
-      group.lockseq_id = LoadUint32LE(lockseq + 4 * row);
-      if (group.lockseq_id >= seq_count) {
-        return Status::Error("snapshot groups: bad group");
-      }
-      group.n_reads = LoadUint32LE(n_reads + 4 * row);
-      group.n_writes = LoadUint32LE(n_writes + 4 * row);
-      group.txn_id = LoadUint64LE(txn + 8 * row);
-      group.alloc_id = LoadUint64LE(alloc + 8 * row);
-      uint32_t seq_len = LoadUint32LE(seqs_per_group + 4 * row);
-      if (seq_len > seq_total - seq_cursor) {
-        return Status::Error("snapshot groups: bad group");
-      }
-      group.seqs.resize(seq_len);
-      // The seq ids are contiguous LE u64s and the host is little-endian
-      // (static_assert in src/db/snapshot.cc), so the whole span copies
-      // flat — this loop dominates the groups decode on big snapshots.
-      std::memcpy(group.seqs.data(), seqs + 8 * seq_cursor, 8 * size_t{seq_len});
-      seq_cursor += seq_len;
-      member_groups.push_back(std::move(group));
-    }
-    group_cursor += member_group_count;
-    groups->emplace(key, std::move(member_groups));
-  }
-  if (group_cursor != group_count || seq_cursor != seq_total) {
+  if (in.remaining() != 0) {
     return Status::Error("snapshot groups: trailing bytes");
   }
+
+  std::vector<MemberObsKey> keys(key_count);
+  std::vector<size_t> key_begin(key_count + 1, 0);
+  for (size_t k = 0; k < key_count; ++k) {
+    const uint64_t type = arrays[0][k];
+    const uint64_t subclass = arrays[1][k];
+    const uint64_t member = arrays[2][k];
+    if (type >= registry.type_count() || member >= registry.layout(type).member_count() ||
+        subclass > UINT32_MAX ||
+        !IsRegisteredSubclass(registry, static_cast<TypeId>(type),
+                              static_cast<SubclassId>(subclass))) {
+      return Status::Error("snapshot groups: key out of registry range");
+    }
+    keys[k] = {static_cast<TypeId>(type), static_cast<SubclassId>(subclass),
+               static_cast<MemberIndex>(member)};
+    if (k > 0 && !(keys[k - 1] < keys[k])) {
+      return Status::Error("snapshot groups: keys out of order");
+    }
+    const uint64_t groups = arrays[3][k];
+    if (groups > group_count - key_begin[k]) {
+      return Status::Error("snapshot groups: bad group count");
+    }
+    key_begin[k + 1] = key_begin[k] + groups;
+  }
+  if (key_begin.back() != group_count) {
+    return Status::Error("snapshot groups: group counts do not sum to the group total");
+  }
+
+  GroupColumns columns{arrays[4], arrays[5], arrays[6], arrays[7], arrays[8], arrays[9]};
+  std::vector<size_t> seq_begin(group_count + 1, 0);
+  for (size_t g = 0; g < group_count; ++g) {
+    const uint64_t n_reads = columns.n_reads[g];
+    const uint64_t n_writes = columns.n_writes[g];
+    const uint64_t left = seq_total - seq_begin[g];
+    if (columns.lockseq[g] >= id_seqs.size() || n_reads > left || n_writes > left - n_reads ||
+        n_reads > UINT32_MAX || n_writes > UINT32_MAX) {
+      return Status::Error("snapshot groups: bad group");
+    }
+    seq_begin[g + 1] = seq_begin[g] + n_reads + n_writes;
+  }
+  if (seq_begin.back() != seq_total) {
+    return Status::Error("snapshot groups: read and write counts do not sum to the seq total");
+  }
+  store->ResetForSnapshot(std::move(pool), std::move(id_seqs), std::move(keys),
+                          std::move(key_begin), std::move(seq_begin), columns);
   return Status::Ok();
 }
 
@@ -424,7 +400,7 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
   }
   size_t index = 2;
   while (index < sections.size() && sections[index].type == kSnapshotSectionTable) {
-    status = DecodeTableSectionV2(sections[index].payload, &snapshot.db);
+    status = DecodeTableSection(sections[index].payload, &snapshot.db);
     if (!status.ok()) {
       return status;
     }
@@ -450,17 +426,15 @@ Result<AnalysisSnapshot> DeserializeImpl(std::string_view bytes, const TypeRegis
     return status;
   }
   std::vector<IdSeq> id_seqs;
-  status = DecodeSeqsSectionV2(sections[index + 1].payload, pool.size(), &id_seqs);
+  status = DecodeSeqsSection(sections[index + 1].payload, pool.size(), &id_seqs);
   if (!status.ok()) {
     return status;
   }
-  std::map<MemberObsKey, std::vector<ObservationGroup>> groups;
-  status = DecodeGroupsSectionV2(sections[index + 2].payload, registry, id_seqs.size(), &groups);
+  status = LoadGroupsSection(sections[index + 2].payload, registry, std::move(pool),
+                             std::move(id_seqs), &snapshot.observations);
   if (!status.ok()) {
     return status;
   }
-  snapshot.observations.ResetForSnapshot(std::move(pool), std::move(id_seqs),
-                                         std::move(groups));
   snapshot.backing = std::move(backing);
   return snapshot;
 }
@@ -479,17 +453,17 @@ void AddHeadSections(const AnalysisSnapshot& snapshot, const TypeRegistry& regis
 // Pool, seqs and groups: the sections that depend on extraction.
 void AddObservationSections(const ObservationStore& store, SnapshotWriter& writer) {
   writer.AddSection(kSnapshotSectionPool, EncodePoolSection(store.pool()));
-  writer.AddSection(kSnapshotSectionSeqs, EncodeSeqsSectionV2(store));
-  writer.AddSection(kSnapshotSectionGroups, EncodeGroupsSectionV2(store));
+  writer.AddSection(kSnapshotSectionSeqs, EncodeSeqsSection(store));
+  AddGroupsSection(store, writer);
 }
 
 }  // namespace
 
 std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegistry& registry) {
   SnapshotWriter writer;
-  // One allocation for the whole file: the tables' u64 columns, stored as
-  // is, plus the string pool, the observation payloads and headroom for the
-  // small sections.
+  // One allocation for the whole file, sized for 8-byte values: the tables
+  // and group arrays narrow to at most that, plus the string pool and
+  // headroom for the small sections. Pages past the file stay untouched.
   size_t estimate = 1 << 16;
   for (const std::string& text : snapshot.db.strings().strings()) {
     estimate += text.size() + 10;
@@ -498,11 +472,8 @@ std::string SerializeSnapshot(const AnalysisSnapshot& snapshot, const TypeRegist
     const Table& table = snapshot.db.table(name);
     estimate += table.row_count() * table.column_count() * sizeof(uint64_t) + 256;
   }
-  for (const auto& [key, groups] : snapshot.observations.groups()) {
-    for (const ObservationGroup& group : groups) {
-      estimate += 32 + 8 * group.seqs.size();
-    }
-  }
+  const ObservationStore& store = snapshot.observations;
+  estimate += 8 * (5 * store.group_count() + store.group_columns().seqs.size());
   writer.Reserve(estimate);
   AddHeadSections(snapshot, registry, writer);
   AddObservationSections(snapshot.observations, writer);
@@ -592,9 +563,7 @@ Result<AnalysisSnapshot> BuildAndSaveSnapshot(const Trace& trace, const TypeRegi
   }
 
   auto t0 = Clock::now();
-  TraceImporter importer(&registry, options.filter);
-  snapshot.import_stats = importer.Import(trace, &snapshot.db, &pool);
-  snapshot.trace_stats = ComputeTraceStats(trace);
+  ImportTrace(trace, registry, options.filter, pool, &snapshot);
   auto t1 = Clock::now();
   if (timings != nullptr) {
     timings->Add("database import", seconds(t0, t1), snapshot.import_stats.events);

@@ -92,7 +92,7 @@ std::vector<ViolationSummaryRow> ViolationFinder::Summarize(
   // Include every observed (type, subclass) so clean types report zeros,
   // as in the paper's Tab. 7.
   std::map<std::pair<TypeId, SubclassId>, Agg> by_type;
-  for (const auto& [key, groups] : store_->groups()) {
+  for (const MemberObsKey& key : store_->keys()) {
     by_type.try_emplace({key.type, key.subclass});
   }
   for (const Violation& violation : violations) {

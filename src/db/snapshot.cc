@@ -1,5 +1,6 @@
 #include "src/db/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -18,10 +19,15 @@ namespace {
 // place; a big-endian host would need a byte-swapping load path that
 // nothing targets today.
 static_assert(std::endian::native == std::endian::little,
-              ".lockdb v2 zero-copy layout requires a little-endian host");
+              ".lockdb zero-copy layout requires a little-endian host");
 
-// The retired varint container. Recognized only to be rejected.
+// The retired containers, recognized only to be rejected: the varint v1
+// and the full-width v2.
 constexpr char kSnapshotMagicV1[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '1'};
+constexpr char kSnapshotMagicV2[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '2'};
+
+// Column pieces are narrowed through a buffer of this size.
+constexpr size_t kColumnScratchBytes = size_t{1} << 20;
 
 bool HasMagic(std::string_view bytes, const char (&magic)[8]) {
   return bytes.size() >= sizeof(magic) && std::memcmp(bytes.data(), magic, sizeof(magic)) == 0;
@@ -85,26 +91,26 @@ Frame ReadFrame(std::string_view bytes, size_t pos, SnapshotScanMode mode) {
   Frame frame;
   SnapshotSection& section = frame.section;
   section.offset = pos;
-  if (bytes.size() - pos < kSnapshotV2FrameHeaderSize) {
+  if (bytes.size() - pos < kSnapshotFrameHeaderSize) {
     frame.fault = FrameFault::kTruncatedHeader;
     return frame;
   }
   const char* header = bytes.data() + pos;
-  section.type = static_cast<uint8_t>(header[kSnapshotV2TypeOffset]);
-  section.seq = LoadUint32LE(header + kSnapshotV2SeqOffset);
-  section.payload_crc = LoadUint32LE(header + kSnapshotV2PayloadCrcOffset);
-  frame.length = LoadUint64LE(header + kSnapshotV2LengthOffset);
+  section.type = static_cast<uint8_t>(header[kSnapshotTypeOffset]);
+  section.seq = LoadUint32LE(header + kSnapshotSeqOffset);
+  section.payload_crc = LoadUint32LE(header + kSnapshotPayloadCrcOffset);
+  frame.length = LoadUint64LE(header + kSnapshotLengthOffset);
   if (std::memcmp(header, kSnapshotFrameMarker, sizeof(kSnapshotFrameMarker)) != 0) {
     frame.fault = FrameFault::kBadMarker;
     return frame;
   }
-  if (Crc32(header + kSnapshotV2TypeOffset,
-            kSnapshotV2HeaderCrcOffset - kSnapshotV2TypeOffset) !=
-      LoadUint32LE(header + kSnapshotV2HeaderCrcOffset)) {
+  if (Crc32(header + kSnapshotTypeOffset,
+            kSnapshotHeaderCrcOffset - kSnapshotTypeOffset) !=
+      LoadUint32LE(header + kSnapshotHeaderCrcOffset)) {
     frame.fault = FrameFault::kHeaderCrc;
     return frame;
   }
-  const size_t payload_start = pos + kSnapshotV2FrameHeaderSize;
+  const size_t payload_start = pos + kSnapshotFrameHeaderSize;
   if (frame.length > bytes.size() ||
       PaddedPayloadSize(frame.length) > bytes.size() - payload_start) {
     frame.fault = FrameFault::kImplausibleLength;
@@ -156,7 +162,7 @@ Status VerifySectionPayloadCrc(const SnapshotSection& section) {
 }
 
 SnapshotWriter::SnapshotWriter(SnapshotSink sink) : sink_(std::move(sink)) {
-  Emit(std::string_view(kSnapshotMagicV2, sizeof(kSnapshotMagicV2)));
+  Emit(std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic)));
 }
 
 void SnapshotWriter::Emit(std::string_view bytes) {
@@ -174,23 +180,51 @@ void SnapshotWriter::Emit(std::string_view bytes) {
   written_ += bytes.size();
 }
 
+template <typename Fn>
+void SnapshotWriter::ForEachChunk(const PayloadPiece& piece, Fn&& fn) {
+  if (piece.width == 0) {
+    fn(piece.bytes);
+    return;
+  }
+  const ColumnView& values = piece.values;
+  const uint64_t bytes = values.size() * piece.width;
+  if (values.width() == piece.width) {
+    // Already stored at this width (a loaded column written again).
+    fn(std::string_view(static_cast<const char*>(values.data()), bytes));
+  } else {
+    if (scratch_ == nullptr) {
+      scratch_ = std::make_unique<char[]>(kColumnScratchBytes);
+    }
+    const size_t chunk = kColumnScratchBytes / piece.width;
+    for (size_t begin = 0; begin < values.size(); begin += chunk) {
+      const size_t count = std::min(chunk, values.size() - begin);
+      StoreColumnValues(values, begin, count, piece.width, scratch_.get());
+      fn(std::string_view(scratch_.get(), count * piece.width));
+    }
+  }
+  const char zeros[8] = {0};
+  fn(std::string_view(zeros, PaddedPayloadSize(bytes) - bytes));
+}
+
 void SnapshotWriter::AddSection(SnapshotSectionType type, std::string_view payload) {
-  AddSection(type, std::vector<std::string_view>{payload});
+  AddSection(type, std::vector<PayloadPiece>{payload});
 }
 
 void SnapshotWriter::AddSection(SnapshotSectionType type,
-                                const std::vector<std::string_view>& pieces) {
+                                const std::vector<PayloadPiece>& pieces) {
   if (!status_.ok()) {
     return;  // Sticky: one failed section poisons the whole file.
   }
   // Fixed 32-byte header (see snapshot.h), payload zero-padded to 8. The
-  // payload CRC chains over the pieces and the padding, so the payload is
-  // checksummed where it lies.
+  // payload CRC chains over the pieces' chunks and the padding, so the
+  // payload is checksummed where it lies, or as it is narrowed.
   uint64_t length = 0;
   uint32_t payload_crc = 0;
-  for (std::string_view piece : pieces) {
-    length += piece.size();
-    payload_crc = Crc32Update(payload_crc, piece.data(), piece.size());
+  for (const PayloadPiece& piece : pieces) {
+    ForEachChunk(piece, [&](std::string_view chunk) {
+      length += chunk.size();
+      payload_crc = Crc32Update(payload_crc, chunk.data(), chunk.size());
+    });
   }
   const char zeros[8] = {0};
   const uint64_t padding = PaddedPayloadSize(length) - length;
@@ -202,11 +236,11 @@ void SnapshotWriter::AddSection(SnapshotSectionType type,
   AppendUint64LE(header, length);
   AppendUint32LE(header, payload_crc);
   header.append(4, '\0');
-  AppendUint32LE(header, Crc32(header.data() + kSnapshotV2TypeOffset,
-                               kSnapshotV2HeaderCrcOffset - kSnapshotV2TypeOffset));
+  AppendUint32LE(header, Crc32(header.data() + kSnapshotTypeOffset,
+                               kSnapshotHeaderCrcOffset - kSnapshotTypeOffset));
   Emit(header);
-  for (std::string_view piece : pieces) {
-    Emit(piece);
+  for (const PayloadPiece& piece : pieces) {
+    ForEachChunk(piece, [this](std::string_view chunk) { Emit(chunk); });
   }
   Emit(std::string_view(zeros, padding));
 }
@@ -233,7 +267,7 @@ Result<std::vector<SnapshotSection>> ScanSnapshotSections(std::string_view bytes
     return magic;
   }
   std::vector<SnapshotSection> sections;
-  size_t pos = sizeof(kSnapshotMagicV2);
+  size_t pos = sizeof(kSnapshotMagic);
   while (true) {
     Frame frame = ReadFrame(bytes, pos, mode);
     const SnapshotSection& section = frame.section;
@@ -296,7 +330,7 @@ bool SnapshotInspection::clean() const {
 std::string SnapshotInspection::ToString() const {
   std::string out = StrFormat("snapshot size:    %s bytes\n",
                               FormatWithCommas(file_size).c_str());
-  out += StrFormat("magic:            %s\n", magic_ok ? "ok (container v2)" : "BAD");
+  out += StrFormat("magic:            %s\n", magic_ok ? "ok (container v3)" : "BAD");
   out += StrFormat("sections:         %zu ok, %zu damaged\n", sections_ok(), sections_bad());
   for (const SnapshotSectionReport& s : sections) {
     const char* verdict = s.ok() ? (s.unrecognized ? "unrecognized (skipped)" : "ok")
@@ -327,7 +361,7 @@ SnapshotInspection InspectSnapshot(std::string_view bytes) {
   if (!report.magic_ok) {
     return report;
   }
-  size_t pos = sizeof(kSnapshotMagicV2);
+  size_t pos = sizeof(kSnapshotMagic);
   while (pos < bytes.size()) {
     size_t marker_pos = bytes.find(MarkerView(), pos);
     if (marker_pos == std::string_view::npos) {
@@ -356,7 +390,7 @@ SnapshotInspection InspectSnapshot(std::string_view bytes) {
         // this frame, so a corrupt length pointing past a later valid frame
         // does not inflate the report.
         uint64_t clamped = ClampLengthToNextMarker(
-            bytes, marker_pos + kSnapshotV2FrameHeaderSize, frame.length);
+            bytes, marker_pos + kSnapshotFrameHeaderSize, frame.length);
         section.payload_size = clamped;
         section.problem =
             StrFormat("implausible length %llu (clamped to %llu)",
@@ -405,7 +439,7 @@ SnapshotRepairResult RepairSnapshotBytes(std::string_view bytes) {
   // first occurrence.
   SnapshotWriter writer;
   std::set<std::pair<uint8_t, uint32_t>> seen;
-  size_t pos = sizeof(kSnapshotMagicV2);
+  size_t pos = sizeof(kSnapshotMagic);
   while (pos < bytes.size()) {
     size_t marker_pos = bytes.find(MarkerView(), pos);
     if (marker_pos == std::string_view::npos) {
@@ -455,19 +489,24 @@ SnapshotRepairResult RepairSnapshotBytes(std::string_view bytes) {
 }
 
 Status CheckSnapshotMagic(std::string_view bytes) {
-  if (HasMagic(bytes, kSnapshotMagicV2)) {
+  if (HasMagic(bytes, kSnapshotMagic)) {
     return Status::Ok();
   }
-  if (HasMagic(bytes, kSnapshotMagicV1)) {
-    return Status::Error(
-        "snapshot: container v1 (LOCKDB01) is no longer readable; re-run `lockdoc import` on "
-        "the trace to rebuild it");
+  const char* retired = HasMagic(bytes, kSnapshotMagicV1)   ? "v1 (LOCKDB01)"
+                        : HasMagic(bytes, kSnapshotMagicV2) ? "v2 (LOCKDB02)"
+                                                            : nullptr;
+  if (retired != nullptr) {
+    return Status::Error(StrFormat(
+        "snapshot: container %s is no longer readable; re-run `lockdoc import` on the trace "
+        "to rebuild it",
+        retired));
   }
   return Status::Error("snapshot: bad magic (not a .lockdb file)");
 }
 
 bool LooksLikeSnapshot(std::string_view bytes) {
-  return HasMagic(bytes, kSnapshotMagicV2) || HasMagic(bytes, kSnapshotMagicV1);
+  return HasMagic(bytes, kSnapshotMagic) || HasMagic(bytes, kSnapshotMagicV2) ||
+         HasMagic(bytes, kSnapshotMagicV1);
 }
 
 bool IsSnapshotFile(const std::string& path) {
@@ -475,7 +514,7 @@ bool IsSnapshotFile(const std::string& path) {
   if (!in) {
     return false;
   }
-  char magic[sizeof(kSnapshotMagicV2)];
+  char magic[sizeof(kSnapshotMagic)];
   in.read(magic, sizeof(magic));
   return in.gcount() == static_cast<std::streamsize>(sizeof(magic)) &&
          LooksLikeSnapshot(std::string_view(magic, sizeof(magic)));
@@ -522,14 +561,19 @@ Status DecodeStringsSection(std::string_view payload, StringPool* pool) {
 
 namespace {
 
-// Varint-encoded table header: name, column definitions, indexed columns,
-// row count.
-void EncodeTableHeader(const Table& table, std::string* payload) {
+// Varint-encoded table header: name, column definitions (each numeric
+// column followed by its width byte), indexed columns, row count.
+void EncodeTableHeader(const Table& table, const std::vector<uint8_t>& widths,
+                       std::string* payload) {
   PutLengthPrefixed(*payload, table.name());
   PutVarint(*payload, table.column_count());
-  for (const ColumnDef& column : table.columns()) {
-    PutLengthPrefixed(*payload, column.name);
-    payload->push_back(static_cast<char>(column.type));
+  for (size_t column = 0; column < table.column_count(); ++column) {
+    const ColumnDef& def = table.columns()[column];
+    PutLengthPrefixed(*payload, def.name);
+    payload->push_back(static_cast<char>(def.type));
+    if (def.type != ColumnType::kString) {
+      payload->push_back(static_cast<char>(widths[column]));
+    }
   }
   std::vector<size_t> indexed = table.IndexedColumns();
   PutVarint(*payload, indexed.size());
@@ -542,6 +586,7 @@ void EncodeTableHeader(const Table& table, std::string* payload) {
 struct TableHeader {
   std::string name;
   std::vector<ColumnDef> columns;
+  std::vector<uint8_t> widths;  // Per column; 0 for a string column.
   std::vector<size_t> indexed;
   uint64_t row_count = 0;
 };
@@ -559,6 +604,7 @@ Status DecodeTableHeader(ByteCursor& in, TableHeader* header) {
     return fail("bad column count");
   }
   header->columns.reserve(column_count);
+  header->widths.reserve(column_count);
   for (uint64_t i = 0; i < column_count; ++i) {
     ColumnDef def;
     if (!GetLengthPrefixed(in, &def.name, kMaxStringSize) || def.name.empty()) {
@@ -569,7 +615,14 @@ Status DecodeTableHeader(ByteCursor& in, TableHeader* header) {
       return fail("bad column type");
     }
     def.type = static_cast<ColumnType>(type);
+    uint8_t width = 0;
+    if (def.type != ColumnType::kString &&
+        (!in.Get(&width) || !IsColumnWidth(width) ||
+         (def.type == ColumnType::kDouble && width != sizeof(double)))) {
+      return fail("bad column width");
+    }
     header->columns.push_back(std::move(def));
+    header->widths.push_back(width);
   }
   uint64_t indexed_count = 0;
   if (!GetVarint(in, &indexed_count) || indexed_count > column_count) {
@@ -596,22 +649,35 @@ Status DecodeTableHeader(ByteCursor& in, TableHeader* header) {
 void SnapshotWriter::AddTableSection(const Table& table) {
   // Numeric columns start at the next 8-byte boundary so a loader mapping
   // the (8-aligned) payload can view them in place. They go out straight
-  // from the table's column memory; only the header and the (small) string
-  // columns are encoded here.
+  // from the table's column memory, u64 columns narrowed on the way; only
+  // the header and the (small) string columns are encoded here.
+  std::vector<uint8_t> widths(table.column_count(), 0);
+  for (size_t column = 0; column < table.column_count(); ++column) {
+    switch (table.columns()[column].type) {
+      case ColumnType::kUint64:
+        widths[column] = NarrowestColumnWidth(table.Column(column));
+        break;
+      case ColumnType::kDouble:
+        widths[column] = sizeof(double);
+        break;
+      case ColumnType::kString:
+        break;
+    }
+  }
   std::string header;
-  EncodeTableHeader(table, &header);
+  EncodeTableHeader(table, widths, &header);
   header.append(PaddedPayloadSize(header.size()) - header.size(), '\0');
-  std::vector<std::string_view> pieces = {header};
+  std::vector<PayloadPiece> pieces = {std::string_view(header)};
   std::string strings;
   for (size_t column = 0; column < table.column_count(); ++column) {
     switch (table.columns()[column].type) {
       case ColumnType::kUint64:
-        pieces.emplace_back(reinterpret_cast<const char*>(table.ColumnU64Data(column)),
-                            table.row_count() * sizeof(uint64_t));
+        pieces.emplace_back(table.Column(column), widths[column]);
         break;
       case ColumnType::kDouble:
-        pieces.emplace_back(reinterpret_cast<const char*>(table.ColumnF64Data(column)),
-                            table.row_count() * sizeof(double));
+        pieces.emplace_back(std::string_view(
+            reinterpret_cast<const char*>(table.ColumnF64Data(column)),
+            table.row_count() * sizeof(double)));
         break;
       case ColumnType::kString:
         // Variable-width columns follow the fixed-width block.
@@ -621,11 +687,24 @@ void SnapshotWriter::AddTableSection(const Table& table) {
         break;
     }
   }
-  pieces.push_back(strings);
+  pieces.emplace_back(std::string_view(strings));
   AddSection(kSnapshotSectionTable, pieces);
 }
 
-Status DecodeTableSectionV2(std::string_view payload, Database* db) {
+bool ReadColumn(ByteCursor& in, uint8_t width, uint64_t rows, ColumnView* column) {
+  if (!IsColumnWidth(width) || rows > in.remaining() / width ||
+      PaddedPayloadSize(rows * width) > in.remaining()) {
+    return false;
+  }
+  *column = ColumnView(in.data + in.pos, width, rows);
+  in.pos += PaddedPayloadSize(rows * width);
+  return true;
+}
+
+Status DecodeTableSection(std::string_view payload, Database* db) {
+  // Columns are viewed where they lie; both loaders hand over 8-aligned
+  // payloads (an aligned copy, or a page-aligned mapping).
+  LOCKDOC_CHECK(reinterpret_cast<uintptr_t>(payload.data()) % alignof(uint64_t) == 0);
   ByteCursor in{payload.data(), payload.size(), 0};
   TableHeader header;
   if (Status status = DecodeTableHeader(in, &header); !status.ok()) {
@@ -643,40 +722,22 @@ Status DecodeTableSectionV2(std::string_view payload, Database* db) {
     return fail("truncated header padding");
   }
   in.pos += pad;
-  // In-place views require the payload itself to be 8-aligned; a misaligned
-  // buffer silently degrades to copying.
-  bool views_ok = reinterpret_cast<uintptr_t>(payload.data()) % alignof(uint64_t) == 0;
   uint64_t row_count = header.row_count;
   std::vector<ColumnData> storage(header.columns.size());
   for (size_t column = 0; column < header.columns.size(); ++column) {
-    ColumnData& data = storage[column];
     ColumnType type = header.columns[column].type;
     if (type == ColumnType::kString) {
       continue;
     }
-    if (row_count > in.remaining() / sizeof(uint64_t)) {
+    ColumnView view;
+    if (!ReadColumn(in, header.widths[column], row_count, &view)) {
       return fail(type == ColumnType::kUint64 ? "truncated u64 column"
                                               : "truncated f64 column");
     }
-    const char* raw = in.data + in.pos;
-    if (type == ColumnType::kUint64) {
-      if (views_ok) {
-        data.u64_view = reinterpret_cast<const uint64_t*>(raw);
-        data.view_rows = row_count;
-      } else {
-        data.u64.resize(row_count);
-        std::memcpy(data.u64.data(), raw, row_count * sizeof(uint64_t));
-      }
-    } else {
-      if (views_ok) {
-        data.f64_view = reinterpret_cast<const double*>(raw);
-        data.view_rows = row_count;
-      } else {
-        data.f64.resize(row_count);
-        std::memcpy(data.f64.data(), raw, row_count * sizeof(double));
-      }
-    }
-    in.pos += row_count * sizeof(uint64_t);
+    ColumnData& data = storage[column];
+    data.view = view.data();
+    data.width = view.width();
+    data.view_rows = row_count;
   }
   for (size_t column = 0; column < header.columns.size(); ++column) {
     if (header.columns[column].type != ColumnType::kString) {

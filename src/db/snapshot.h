@@ -3,13 +3,15 @@
 // imported ONCE and analyzed many times (the paper keeps its MariaDB
 // instance around for the same reason, Sec. 5.3).
 //
-// The layout ("LOCKDB02", full spec: docs/lockdb-format.md) is zero-copy:
+// The layout ("LOCKDB03", full spec: docs/lockdb-format.md) is zero-copy:
 // every frame starts at an 8-byte-aligned offset, headers are fixed 32-byte
 // blocks with explicit 64-bit payload lengths, and the payload CRC is stored
 // in the header so a loader can map the file and defer payload
-// checksumming:
+// checksumming. Every numeric array in a payload is stored at the width its
+// values need (src/db/column.h) and padded to 8 bytes, so it is viewed in
+// place at that width:
 //
-//   magic "LOCKDB02" (8 bytes)
+//   magic "LOCKDB03" (8 bytes)
 //   frame*: marker {0xAB,'L','D',0xF3} | type (1) | pad (3 zero)
 //           | seq (4 LE) | length (8 LE, unpadded payload bytes)
 //           | payload crc32 (4 LE, over the padded payload)
@@ -22,8 +24,9 @@
 // verified; payload CRCs are verified eagerly by doctor/repair and by the
 // load path. Sections are written in a fixed deterministic order by
 // src/core/snapshot.cc; a snapshot's bytes are identical no matter how many
-// threads built the analysis. The retired v1 container ("LOCKDB01") is
-// recognized only to be rejected with a typed error.
+// threads built the analysis. The retired containers ("LOCKDB01", and
+// "LOCKDB02" with full-width columns) are recognized only to be rejected
+// with a typed error.
 //
 // This layer knows containers and the db-level payloads (string pool,
 // tables); the analysis-level payloads (lock-class pool, interned
@@ -34,33 +37,36 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/db/column.h"
 #include "src/db/database.h"
 #include "src/trace/string_pool.h"
 #include "src/util/status.h"
+#include "src/util/varint.h"
 
 namespace lockdoc {
 
-constexpr char kSnapshotMagicV2[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '2'};
+constexpr char kSnapshotMagic[8] = {'L', 'O', 'C', 'K', 'D', 'B', '0', '3'};
 constexpr uint8_t kSnapshotFrameMarker[4] = {0xAB, 'L', 'D', 0xF3};
 // marker + type + pad3 + seq + length64 + payload_crc + pad4 + header_crc.
-constexpr size_t kSnapshotV2FrameHeaderSize = 32;
+constexpr size_t kSnapshotFrameHeaderSize = 32;
 // Offsets into a frame header (from the marker).
-constexpr size_t kSnapshotV2TypeOffset = 4;
-constexpr size_t kSnapshotV2SeqOffset = 8;
-constexpr size_t kSnapshotV2LengthOffset = 12;
-constexpr size_t kSnapshotV2PayloadCrcOffset = 20;
-constexpr size_t kSnapshotV2HeaderCrcOffset = 28;
-// Payloads are zero-padded to the next 8-byte boundary so every frame
-// header (and the numeric column data inside table payloads) stays 8-aligned
-// in the mapped file.
+constexpr size_t kSnapshotTypeOffset = 4;
+constexpr size_t kSnapshotSeqOffset = 8;
+constexpr size_t kSnapshotLengthOffset = 12;
+constexpr size_t kSnapshotPayloadCrcOffset = 20;
+constexpr size_t kSnapshotHeaderCrcOffset = 28;
+// Payloads, and every numeric array inside one, are zero-padded to the next
+// 8-byte boundary so every frame header and array stays 8-aligned in the
+// mapped file.
 constexpr uint64_t PaddedPayloadSize(uint64_t length) { return (length + 7) & ~uint64_t{7}; }
 // Payload format version carried in the meta section, pinned by the
 // container magic.
-constexpr uint64_t kSnapshotFormatVersionV2 = 2;
+constexpr uint64_t kSnapshotFormatVersion = 3;
 
 enum SnapshotSectionType : uint8_t {
   kSnapshotSectionMeta = 1,     // Version, import/trace stats, registry shape.
@@ -97,11 +103,25 @@ Status VerifySectionPayloadCrc(const SnapshotSection& section);
 // instance). A non-Ok status stops the writer.
 using SnapshotSink = std::function<Status(std::string_view bytes)>;
 
+// One piece of a section payload: bytes framed as they are, or a numeric
+// column stored at `width` bytes per value (the column codec, see
+// src/db/column.h) and zero-padded to 8 bytes.
+struct PayloadPiece {
+  PayloadPiece(std::string_view bytes) : bytes(bytes) {}  // NOLINT: implicit.
+  PayloadPiece(ColumnView values, uint8_t width) : values(values), width(width) {}
+
+  std::string_view bytes;
+  ColumnView values;
+  uint8_t width = 0;  // 0: raw bytes.
+};
+
 // Frames sections into the container format. Usage: add each section in
 // order, then Finish exactly once. Frames are emitted as they are added:
 // into an in-memory buffer that Finish returns, or to a sink. A payload can
 // be given in pieces, which are checksummed and emitted in place without
-// being joined, so a table section goes out straight from column memory.
+// being joined; a column piece is narrowed through a fixed scratch buffer,
+// once for the CRC and once for the bytes, so a table section goes out
+// straight from column memory and no narrowed copy of a column is held.
 // A sink error poisons the writer (sticky: later sections are ignored and
 // Finish returns it); a buffering writer cannot fail.
 class SnapshotWriter {
@@ -112,8 +132,9 @@ class SnapshotWriter {
 
   void AddSection(SnapshotSectionType type, std::string_view payload);
   // One section whose payload is the concatenation of `pieces`.
-  void AddSection(SnapshotSectionType type, const std::vector<std::string_view>& pieces);
-  // A table section: the header and the column arrays framed in place.
+  void AddSection(SnapshotSectionType type, const std::vector<PayloadPiece>& pieces);
+  // A table section: the header and every numeric column at the width its
+  // values need.
   void AddTableSection(const Table& table);
 
   // Grows the in-memory buffer once instead of doubling through the adds;
@@ -131,8 +152,12 @@ class SnapshotWriter {
 
  private:
   void Emit(std::string_view bytes);
+  // Calls fn(chunk) for the framed bytes of `piece`, in order.
+  template <typename Fn>
+  void ForEachChunk(const PayloadPiece& piece, Fn&& fn);
 
   SnapshotSink sink_;  // Empty when buffering into out_.
+  std::unique_ptr<char[]> scratch_;  // Column narrowing, allocated on first use.
   Status status_;
   std::string out_;
   uint64_t written_ = 0;
@@ -174,7 +199,7 @@ struct SnapshotSectionReport {
 
 struct SnapshotInspection {
   uint64_t file_size = 0;
-  bool magic_ok = false;  // LOCKDB02; a v1 container is not readable.
+  bool magic_ok = false;  // LOCKDB03; a retired container is not readable.
   std::vector<SnapshotSectionReport> sections;
   bool end_ok = false;           // Intact end section with a correct count.
   uint64_t declared_sections = 0;  // From the end section when readable.
@@ -214,15 +239,15 @@ struct SnapshotRepairResult {
 SnapshotRepairResult RepairSnapshotBytes(std::string_view bytes);
 
 // Magic sniffers so CLI commands accept a trace or a snapshot and decide by
-// content, not file extension. The retired v1 magic matches too, so a v1
-// file reaches the snapshot reader and its typed rejection, never the trace
-// reader.
+// content, not file extension. The retired magics match too, so a LOCKDB01
+// or LOCKDB02 file reaches the snapshot reader and its typed rejection,
+// never the trace reader.
 bool LooksLikeSnapshot(std::string_view bytes);
 // Reads just the first bytes of `path`; false on unreadable files.
 bool IsSnapshotFile(const std::string& path);
-// Ok() when `bytes` starts with the LOCKDB02 magic. Otherwise the typed
-// error: a v1 container (re-run `lockdoc import` on its trace) or a bad
-// magic.
+// Ok() when `bytes` starts with the LOCKDB03 magic. Otherwise the typed
+// error: a retired container (re-run `lockdoc import` on its trace) or a
+// bad magic.
 Status CheckSnapshotMagic(std::string_view bytes);
 
 // --- Section payload codecs for the db layer ---
@@ -232,17 +257,24 @@ Status CheckSnapshotMagic(std::string_view bytes);
 std::string EncodeStringsSection(const StringPool& pool);
 Status DecodeStringsSection(std::string_view payload, StringPool* pool);
 
-// Table section: a varint-encoded header (name, column definitions,
-// indexed columns, row count) zero-padded to an 8-byte boundary, then
-// u64/f64 columns as raw 8-byte LE arrays in column order — viewable in
-// place when the payload is 8-aligned and the host is little-endian — and
-// string columns length-prefixed at the end. SnapshotWriter::AddTableSection
-// frames it from the table's own column memory. `DecodeTableSectionV2`
-// creates the table in `db` (the name must not exist yet), declares its
-// indexes, and attaches u64/f64 columns as zero-copy views into `payload`
-// (the caller keeps the backing bytes alive as long as the database); a
-// payload that is not 8-aligned is copied instead.
-Status DecodeTableSectionV2(std::string_view payload, Database* db);
+// The column codec's reader: views `rows` values of `width` bytes at the
+// cursor (which must sit 8-aligned in an 8-aligned payload) and moves past
+// them and their padding. False for a width not in {1, 2, 4, 8} or a
+// column that runs past the payload.
+bool ReadColumn(ByteCursor& in, uint8_t width, uint64_t rows, ColumnView* column);
+
+// Table section: a varint-encoded header (name, column definitions with
+// one width byte per numeric column, indexed columns, row count)
+// zero-padded to an 8-byte boundary, then the numeric columns in column
+// order — u64 columns at their width, f64 columns at 8 bytes, each padded
+// to 8 and viewable in place on a little-endian host — and string columns
+// length-prefixed at the end. SnapshotWriter::AddTableSection frames it
+// from the table's own column memory. `DecodeTableSection` creates the
+// table in `db` (the name must not exist yet), declares its indexes, and
+// attaches numeric columns as zero-copy views into `payload`, which must be
+// 8-aligned (the caller keeps the backing bytes alive as long as the
+// database).
+Status DecodeTableSection(std::string_view payload, Database* db);
 
 }  // namespace lockdoc
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <ostream>
+#include <type_traits>
 
 #include "src/util/csv.h"
 #include "src/util/logging.h"
@@ -54,14 +55,15 @@ void Table::MaterializeColumn(size_t column) {
   if (!data.is_view()) {
     return;
   }
-  if (data.u64_view != nullptr) {
-    data.u64.assign(data.u64_view, data.u64_view + data.view_rows);
-    data.u64_view = nullptr;
+  if (columns_[column].type == ColumnType::kUint64) {
+    ColumnView view = Column(column);
+    data.u64.assign(view.begin(), view.end());
+  } else {
+    const double* values = static_cast<const double*>(data.view);
+    data.f64.assign(values, values + data.view_rows);
   }
-  if (data.f64_view != nullptr) {
-    data.f64.assign(data.f64_view, data.f64_view + data.view_rows);
-    data.f64_view = nullptr;
-  }
+  data.view = nullptr;
+  data.width = sizeof(uint64_t);
   data.view_rows = 0;
 }
 
@@ -89,17 +91,13 @@ RowId Table::Insert(const std::vector<DbValue>& values) {
 }
 
 uint64_t Table::GetUint64(RowId row, size_t column) const {
-  LOCKDOC_CHECK(row < row_count_ && column < columns_.size());
-  LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
-  const ColumnData& data = storage_[column];
-  return data.u64_view != nullptr ? data.u64_view[row] : data.u64[row];
+  LOCKDOC_CHECK(row < row_count_);
+  return Column(column)[row];
 }
 
 double Table::GetDouble(RowId row, size_t column) const {
-  LOCKDOC_CHECK(row < row_count_ && column < columns_.size());
-  LOCKDOC_CHECK(columns_[column].type == ColumnType::kDouble);
-  const ColumnData& data = storage_[column];
-  return data.f64_view != nullptr ? data.f64_view[row] : data.f64[row];
+  LOCKDOC_CHECK(row < row_count_);
+  return ColumnF64Data(column)[row];
 }
 
 const std::string& Table::GetString(RowId row, size_t column) const {
@@ -119,18 +117,25 @@ void Table::SetUint64(RowId row, size_t column, uint64_t value) {
   ForgetIndexOrder(column);
 }
 
-const uint64_t* Table::ColumnU64Data(size_t column) const {
+ColumnView Table::Column(size_t column) const {
   LOCKDOC_CHECK(column < columns_.size());
   LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
   const ColumnData& data = storage_[column];
-  return data.u64_view != nullptr ? data.u64_view : data.u64.data();
+  return data.is_view() ? ColumnView(data.view, data.width, row_count_) : ColumnView(data.u64);
+}
+
+const uint64_t* Table::ColumnU64Data(size_t column) const {
+  LOCKDOC_CHECK(column < columns_.size());
+  LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
+  LOCKDOC_CHECK(!storage_[column].is_view() && "ColumnU64Data reads owned columns only");
+  return storage_[column].u64.data();
 }
 
 const double* Table::ColumnF64Data(size_t column) const {
   LOCKDOC_CHECK(column < columns_.size());
   LOCKDOC_CHECK(columns_[column].type == ColumnType::kDouble);
   const ColumnData& data = storage_[column];
-  return data.f64_view != nullptr ? data.f64_view : data.f64.data();
+  return data.is_view() ? static_cast<const double*>(data.view) : data.f64.data();
 }
 
 void Table::CreateIndex(size_t column) {
@@ -164,29 +169,42 @@ Table::IndexState Table::CheckIndexOrder(size_t column) const {
   std::atomic<IndexState>& index = *indexes_[column];
   IndexState state = index.load(std::memory_order_relaxed);
   if (state == IndexState::kUnchecked) {
-    const uint64_t* data = ColumnU64Data(column);
-    state = std::is_sorted(data, data + row_count_) ? IndexState::kSorted : IndexState::kUnsorted;
+    // Narrowing keeps the order: kDbNull, the largest u64, is stored as the
+    // width's largest value.
+    const bool sorted = Column(column).Visit(
+        [this](const auto* data) { return std::is_sorted(data, data + row_count_); });
+    state = sorted ? IndexState::kSorted : IndexState::kUnsorted;
     index.store(state, std::memory_order_relaxed);
   }
   return state;
 }
 
 std::vector<RowId> Table::LookupEqual(size_t column, uint64_t value) const {
-  LOCKDOC_CHECK(column < columns_.size());
-  LOCKDOC_CHECK(columns_[column].type == ColumnType::kUint64);
-  const uint64_t* data = ColumnU64Data(column);
+  const ColumnView view = Column(column);
+  const bool sorted =
+      indexes_[column] != nullptr && CheckIndexOrder(column) == IndexState::kSorted;
   std::vector<RowId> result;
-  if (indexes_[column] != nullptr && CheckIndexOrder(column) == IndexState::kSorted) {
-    auto [lo, hi] = std::equal_range(data, data + row_count_, value);
-    result.resize(static_cast<size_t>(hi - lo));
-    std::iota(result.begin(), result.end(), static_cast<RowId>(lo - data));
-    return result;
-  }
-  for (RowId row = 0; row < row_count_; ++row) {
-    if (data[row] == value) {
-      result.push_back(row);
+  view.Visit([&](const auto* data) {
+    // The query at the stored width: kDbNull is the all-ones value, and any
+    // other value the width cannot hold is in no row.
+    using T = std::remove_cv_t<std::remove_pointer_t<decltype(data)>>;
+    constexpr T kNull = std::numeric_limits<T>::max();
+    if (value != kDbNull && value >= kNull) {
+      return;
     }
-  }
+    const T key = value == kDbNull ? kNull : static_cast<T>(value);
+    if (sorted) {
+      auto [lo, hi] = std::equal_range(data, data + row_count_, key);
+      result.resize(static_cast<size_t>(hi - lo));
+      std::iota(result.begin(), result.end(), static_cast<RowId>(lo - data));
+      return;
+    }
+    for (RowId row = 0; row < row_count_; ++row) {
+      if (data[row] == key) {
+        result.push_back(row);
+      }
+    }
+  });
   return result;
 }
 
@@ -299,7 +317,7 @@ void Table::ResetRows(size_t row_count, std::vector<ColumnData> storage) {
     switch (columns_[i].type) {
       case ColumnType::kUint64:
         if (column.is_view()) {
-          LOCKDOC_CHECK(column.u64_view != nullptr && rows == row_count &&
+          LOCKDOC_CHECK(IsColumnWidth(column.width) && rows == row_count &&
                         column.u64.empty() && column.f64.empty() && column.str.empty());
         } else {
           LOCKDOC_CHECK(column.u64.size() == row_count && column.f64.empty() &&
@@ -308,7 +326,7 @@ void Table::ResetRows(size_t row_count, std::vector<ColumnData> storage) {
         break;
       case ColumnType::kDouble:
         if (column.is_view()) {
-          LOCKDOC_CHECK(column.f64_view != nullptr && rows == row_count &&
+          LOCKDOC_CHECK(column.width == sizeof(double) && rows == row_count &&
                         column.f64.empty() && column.u64.empty() && column.str.empty());
         } else {
           LOCKDOC_CHECK(column.f64.size() == row_count && column.u64.empty() &&

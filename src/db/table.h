@@ -1,9 +1,10 @@
 // A column-oriented table with equality indexes.
 //
 // Numeric columns can be *view-backed*: instead of owning a vector they
-// point into an externally owned buffer (an mmap-ed .lockdb v2 snapshot).
+// point into an externally owned buffer (an mmap-ed .lockdb snapshot), where
+// a u64 column is stored at the width its values need (src/db/column.h).
 // Views are copy-on-write — any mutation (Insert, SetUint64, ImportCsv)
-// materializes the affected columns into owned vectors first — so readers
+// widens the affected columns into owned u64 vectors first — so readers
 // never observe a half-owned column. The buffer behind a view must outlive
 // the table; src/core keeps the snapshot backing alive on AnalysisSnapshot.
 //
@@ -12,11 +13,11 @@
 // non-decreasing. Lookups rely on that key order. The importer writes every
 // looked-up column in key order (tests/db/table_test.cc pins this for a
 // loaded snapshot), so on real inputs the column itself is the index and
-// each lookup is a binary search over it, owned or mapped. A column found
-// unordered (only hand-built tables in tests produce one) is scanned. The
-// check result is published through an atomic, so concurrent read-only
-// lookups are safe; mutation remains single-threaded and simply forgets the
-// result.
+// each lookup is a binary search over it, owned or mapped, at its stored
+// width. A column found unordered (only hand-built tables in tests produce
+// one) is scanned. The check result is published through an atomic, so
+// concurrent read-only lookups are safe; mutation remains single-threaded
+// and simply forgets the result.
 #ifndef SRC_DB_TABLE_H_
 #define SRC_DB_TABLE_H_
 
@@ -29,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "src/db/column.h"
 #include "src/db/value.h"
 #include "src/util/status.h"
 
@@ -41,17 +43,18 @@ struct ColumnDef {
 
 // Column-major storage for one column; only the vector (or view) matching
 // the column's declared type is populated. A numeric column is view-backed
-// when its view pointer is set; `view_rows` then gives its length and the
-// owned vector is empty.
+// when `view` is set: `view_rows` values of `width` bytes each (always 8
+// for a kDouble column), and the owned vector is empty. Owned u64 columns
+// are full width.
 struct ColumnData {
   std::vector<uint64_t> u64;
   std::vector<double> f64;
   std::vector<std::string> str;
-  const uint64_t* u64_view = nullptr;
-  const double* f64_view = nullptr;
+  const void* view = nullptr;
+  uint8_t width = sizeof(uint64_t);
   size_t view_rows = 0;
 
-  bool is_view() const { return u64_view != nullptr || f64_view != nullptr; }
+  bool is_view() const { return view != nullptr; }
 };
 
 class Table {
@@ -84,9 +87,14 @@ class Table {
 
   void SetUint64(RowId row, size_t column, uint64_t value);
 
-  // Contiguous storage of a numeric column (owned or view), valid for
-  // row_count() elements — the zero-copy serialization path.
+  // A kUint64 column at its stored width, owned or viewed: the read path of
+  // loops over a loaded table.
+  ColumnView Column(size_t column) const;
+  // Contiguous u64 storage of an *owned* kUint64 column (CHECKed), valid
+  // for row_count() elements: extraction's reads of a freshly imported
+  // table.
   const uint64_t* ColumnU64Data(size_t column) const;
+  // Contiguous storage of a kDouble column, owned or viewed.
   const double* ColumnF64Data(size_t column) const;
 
   // Declares an equality index over a kUint64 column. The first
@@ -97,7 +105,8 @@ class Table {
   bool HasIndex(size_t column) const;
 
   // All rows whose `column` equals `value`, ascending; binary-searches an
-  // indexed column that is in key order, otherwise scans. Safe to call
+  // indexed column that is in key order, otherwise scans, at the column's
+  // stored width (a value the width cannot hold is in no row). Safe to call
   // concurrently with other const methods.
   std::vector<RowId> LookupEqual(size_t column, uint64_t value) const;
 
@@ -129,7 +138,7 @@ class Table {
     kUnsorted,  // Lookups scan.
   };
 
-  // Copies a view-backed column into owned storage (no-op when owned).
+  // Widens a view-backed column into owned storage (no-op when owned).
   void MaterializeColumn(size_t column);
   // Checks the order of an indexed `column` if not checked yet; returns
   // the result.

@@ -371,9 +371,9 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
   if (LooksLikeSnapshot(input)) {
     // Pre-imported .lockdb: staged as dropped, then validated by the loader
     // the resident store and the CLI use, so a damaged snapshot never
-    // enters the resident store. Doctor repairs damaged LOCKDB02 files
-    // only; a magic that CheckSnapshotMagic rejects (the retired LOCKDB01)
-    // needs a re-import.
+    // enters the resident store. Doctor repairs damaged LOCKDB03 files
+    // only; a magic that CheckSnapshotMagic rejects (a retired LOCKDB01 or
+    // LOCKDB02) needs a re-import.
     const std::string hint =
         CheckSnapshotMagic(input).ok()
             ? StrFormat("lockdoc doctor %s --repair %s.lockdb", source.c_str(), name.c_str())

@@ -11,6 +11,7 @@ set -u
 
 LOCKDOC="$1"
 DIR="$2"
+TESTDATA="$(dirname "$0")/../core/testdata"
 mkdir -p "$DIR"
 failures=0
 
@@ -70,56 +71,129 @@ expect 1 "$LOCKDOC" doctor "$DIR/mx_damaged.lockdb" --repair "$DIR/mx_repaired.l
   failures=$((failures + 1))
 }
 
-# The retired v1 container (magic LOCKDB01) is a typed error, never read as
-# a trace: analysis exits 1, doctor calls it unreadable (2) and --repair
-# writes nothing.
+# The retired containers — v1 (magic LOCKDB01) and the full-width v2
+# (LOCKDB02, a real file frozen from before v3) — are typed errors, never
+# read as a trace: analysis exits 1, doctor calls them unreadable (2) and
+# --repair writes nothing.
 printf 'LOCKDB01\253LD\363' > "$DIR/mx_v1.lockdb"
-expect 1 "$LOCKDOC" check "$DIR/mx_v1.lockdb"
-expect 1 "$LOCKDOC" stats "$DIR/mx_v1.lockdb"
-expect 2 "$LOCKDOC" doctor "$DIR/mx_v1.lockdb"
-expect 2 "$LOCKDOC" doctor "$DIR/mx_v1.lockdb" --repair "$DIR/mx_v1_repaired.lockdb"
-[ ! -e "$DIR/mx_v1_repaired.lockdb" ] || {
-  echo "FAIL: doctor --repair wrote a file for a v1 container" >&2
-  failures=$((failures + 1))
-}
-"$LOCKDOC" check "$DIR/mx_v1.lockdb" 2>&1 | grep -q 'container v1 (LOCKDB01).*lockdoc import' || {
-  echo "FAIL: a v1 container does not name itself and the re-import" >&2
-  failures=$((failures + 1))
-}
-# Doctor cannot read or repair v1, so the CLI's hint must not point there;
-# a damaged v2 container keeps the doctor hint.
-if "$LOCKDOC" check "$DIR/mx_v1.lockdb" 2>&1 | grep -q 'doctor'; then
-  echo "FAIL: the CLI sends a v1 container to doctor" >&2
-  failures=$((failures + 1))
-fi
+cp "$TESTDATA/legacy_v2.lockdb" "$DIR/mx_v2.lockdb"
+for version in 1 2; do
+  old="$DIR/mx_v$version.lockdb"
+  expect 1 "$LOCKDOC" check "$old"
+  expect 1 "$LOCKDOC" stats "$old"
+  expect 2 "$LOCKDOC" doctor "$old"
+  expect 2 "$LOCKDOC" doctor "$old" --repair "$DIR/mx_v${version}_repaired.lockdb"
+  [ ! -e "$DIR/mx_v${version}_repaired.lockdb" ] || {
+    echo "FAIL: doctor --repair wrote a file for a v$version container" >&2
+    failures=$((failures + 1))
+  }
+  "$LOCKDOC" check "$old" 2>&1 |
+    grep -q "container v$version (LOCKDB0$version).*lockdoc import" || {
+    echo "FAIL: a v$version container does not name itself and the re-import" >&2
+    failures=$((failures + 1))
+  }
+  # Doctor cannot read or repair a retired container, so the CLI's hint
+  # must not point there.
+  if "$LOCKDOC" check "$old" 2>&1 | grep -q 'doctor'; then
+    echo "FAIL: the CLI sends a v$version container to doctor" >&2
+    failures=$((failures + 1))
+  fi
+done
+# A damaged v3 container keeps the doctor hint.
 "$LOCKDOC" check "$DIR/mx_damaged.lockdb" 2>&1 | grep -q 'try `lockdoc doctor' || {
-  echo "FAIL: a damaged v2 container lost its doctor hint" >&2
+  echo "FAIL: a damaged v3 container lost its doctor hint" >&2
   failures=$((failures + 1))
 }
 
-# A CRC-clean snapshot whose last observation-groups key names a subclass
-# the registry lacks must fail to load (1), not abort in a pass.
+# CRC-clean forgeries must fail to load (1) and be unreadable to doctor (2),
+# never abort: the last observation-groups key naming a subclass the
+# registry lacks, a column width outside {1, 2, 4, 8} in a table and in the
+# groups section, a group lock sequence at the sequence count, and group
+# counts that do not sum to the group total.
 if command -v python3 > /dev/null 2>&1; then
-  python3 - "$DIR/mx.lockdb" "$DIR/mx_subclass.lockdb" <<'PY'
+  python3 - "$DIR/mx.lockdb" "$DIR/mx_forged" <<'PY'
 import struct, sys, zlib
-data = bytearray(open(sys.argv[1], "rb").read())
-pos = 8
-while pos < len(data):
-    kind = data[pos + 4]
-    length = struct.unpack_from("<Q", data, pos + 12)[0]
-    start, padded = pos + 32, (length + 7) & ~7
-    if kind == 6:  # groups: u64 K | u64 G | u64 S | u32 type[K] | u32 subclass[K] ...
-        keys = struct.unpack_from("<Q", data, start)[0]
-        struct.pack_into("<I", data, start + 24 + 4 * keys + 4 * (keys - 1), 77)
-        struct.pack_into("<I", data, pos + 20, zlib.crc32(bytes(data[start:start + padded])))
-        struct.pack_into("<I", data, pos + 28, zlib.crc32(bytes(data[pos + 4:pos + 28])))
-    pos = start + padded
-open(sys.argv[2], "wb").write(data)
+
+def varint(buf, i):
+    value, shift = 0, 0
+    while True:
+        byte = buf[i]
+        i += 1
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            return value, i
+
+def padded(n):
+    return (n + 7) & ~7
+
+def forge(out, kind_wanted, edit):
+    """Applies edit(payload) to the first section of kind_wanted and fixes
+    both CRCs; without an edit, returns that section's payload."""
+    data = bytearray(open(sys.argv[1], "rb").read())
+    pos = 8
+    while pos < len(data):
+        kind = data[pos + 4]
+        length = struct.unpack_from("<Q", data, pos + 12)[0]
+        start = pos + 32
+        if kind == kind_wanted:
+            payload = data[start:start + length]
+            if edit is None:
+                return payload
+            edit(payload)
+            data[start:start + length] = payload
+            struct.pack_into("<I", data, pos + 20,
+                             zlib.crc32(bytes(data[start:start + padded(length)])))
+            struct.pack_into("<I", data, pos + 28, zlib.crc32(bytes(data[pos + 4:pos + 28])))
+            break
+        pos = start + padded(length)
+    open(sys.argv[2] + "_" + out + ".lockdb", "wb").write(data)
+
+# Groups: u64 K | u64 G | u64 S | u8 width[10], padded to 8, then
+# type[K] | subclass[K] | member[K] | groups_per_key[K] | lockseq[G] | ...,
+# each padded to 8.
+def groups_array(payload, index):
+    counts = struct.unpack_from("<QQQ", payload, 0)
+    offset = 40
+    for i in range(index):
+        offset += padded(counts[0 if i < 4 else 1 if i < 9 else 2] * payload[24 + i])
+    return offset, payload[24 + index]
+
+def set_value(payload, index, row, value):
+    offset, width = groups_array(payload, index)
+    at = offset + row * width
+    payload[at:at + width] = value.to_bytes(width, "little")
+
+def get_value(payload, index, row):
+    offset, width = groups_array(payload, index)
+    return int.from_bytes(payload[offset + row * width:offset + (row + 1) * width], "little")
+
+def table_width(payload):
+    """Sets the first numeric column's width byte of a table header to 3."""
+    n, i = varint(payload, 0)
+    _, i = varint(payload, i + n)  # Column count.
+    n, i = varint(payload, i)
+    i += n
+    if payload[i] != 2:  # Not a string column: its width byte follows.
+        payload[i + 1] = 3
+
+def groups_width(payload):
+    payload[24 + 4] = 16  # The lockseq array's width.
+
+seq_count = struct.unpack_from("<Q", forge(None, 5, None), 0)[0]
+keys = lambda payload: struct.unpack_from("<Q", payload, 0)[0]
+forge("subclass", 6, lambda p: set_value(p, 1, keys(p) - 1, 77))
+forge("table_width", 3, table_width)
+forge("groups_width", 6, groups_width)
+forge("lockseq", 6, lambda p: set_value(p, 4, 0, seq_count))
+forge("group_count", 6, lambda p: set_value(p, 3, 0, get_value(p, 3, 0) - 1))
 PY
   expect 0 "$LOCKDOC" doctor "$DIR/mx.lockdb"
-  expect 1 "$LOCKDOC" report "$DIR/mx_subclass.lockdb"
-  expect 1 "$LOCKDOC" check "$DIR/mx_subclass.lockdb"
-  expect 2 "$LOCKDOC" doctor "$DIR/mx_subclass.lockdb"
+  for forged in subclass table_width groups_width lockseq group_count; do
+    expect 1 "$LOCKDOC" report "$DIR/mx_forged_$forged.lockdb"
+    expect 1 "$LOCKDOC" check "$DIR/mx_forged_$forged.lockdb"
+    expect 2 "$LOCKDOC" doctor "$DIR/mx_forged_$forged.lockdb"
+  done
 fi
 
 # No command line at all / unknown command: usage, exit 2.

@@ -3,7 +3,8 @@
 # byte-identical (cmp) to the standalone `lockdoc P INPUT` command, for
 # every registered pass, on both a raw trace and a .lockdb snapshot, and
 # a multi-pass run must equal the concatenation of the standalone outputs
-# at --jobs 1, 2 and 8.
+# at --jobs 1, 2 and 8. The tables exported from a trace and from its
+# .lockdb must be identical too.
 #
 # Usage: pass_equivalence_test.sh <lockdoc-binary> <scratch-dir>
 set -eu
@@ -190,5 +191,25 @@ if [ "$derivations" -ne 1 ]; then
   echo "FAIL: expected exactly 1 rule derivation in full analyze, got $derivations" >&2
   exit 1
 fi
+
+# Every table value survives the .lockdb: the CSV bundle exported from each
+# snapshot equals the one exported from its trace, so every column comes
+# back from its stored width exactly, the nulls in locks.owner_* included.
+for name in eq eq_mm eq_salvaged; do
+  trace="$DIR/$name.trace"
+  salvage=""
+  if [ "$name" = eq_salvaged ]; then
+    trace="$DIR/eq_damaged.trace"
+    salvage="--salvage"
+  fi
+  rm -rf "$DIR/csv_${name}_trace" "$DIR/csv_${name}_lockdb"
+  # shellcheck disable=SC2086
+  "$LOCKDOC" export-csv "$trace" $salvage --dir "$DIR/csv_${name}_trace" > /dev/null
+  "$LOCKDOC" export-csv "$DIR/$name.lockdb" --dir "$DIR/csv_${name}_lockdb" > /dev/null
+  diff -r "$DIR/csv_${name}_trace" "$DIR/csv_${name}_lockdb" > /dev/null || {
+    echo "FAIL: export-csv of $name.lockdb differs from its trace's" >&2
+    exit 1
+  }
+done
 
 echo "pass equivalence OK"

@@ -118,8 +118,9 @@ TEST_F(AnalysisContextTest, TakeRulesMovesTheMemoizedSet) {
 TEST_F(AnalysisContextTest, MemberAccessIndexMatchesEffectiveScan) {
   const ObservationStore& store = snapshot_->observations;
   MemberAccessIndex index = MemberAccessIndex::Build(store);
-  for (const auto& [key, groups] : store.groups()) {
-    const MemberAccessIndex::Entry* entry = index.Find(key);
+  for (size_t k = 0; k < store.keys().size(); ++k) {
+    const MemberAccessIndex::Entry* entry = index.Find(store.keys()[k]);
+    const auto groups = store.GroupsAt(k);
     ASSERT_NE(entry, nullptr);
     for (AccessType access : {AccessType::kRead, AccessType::kWrite}) {
       std::vector<uint32_t> expected;
@@ -166,7 +167,8 @@ std::pair<uint64_t, uint64_t> PlainSupport(const TypeRegistry& registry,
                                            const LockingRule& rule) {
   uint64_t sa = 0;
   uint64_t total = 0;
-  for (const auto& [key, groups] : store.groups()) {
+  for (size_t k = 0; k < store.keys().size(); ++k) {
+    const MemberObsKey& key = store.keys()[k];
     const TypeLayout& layout = registry.layout(key.type);
     if (layout.name() != rule.member.type_name ||
         layout.member(key.member).name != rule.member.member_name ||
@@ -174,7 +176,7 @@ std::pair<uint64_t, uint64_t> PlainSupport(const TypeRegistry& registry,
          registry.SubclassName(key.type, key.subclass) != rule.member.subclass)) {
       continue;
     }
-    for (const ObservationGroup& group : groups) {
+    for (const ObservationGroup& group : store.GroupsAt(k)) {
       if (group.effective() == rule.access) {
         ++total;
         sa += IsSubsequence(rule.locks, store.seq(group.lockseq_id)) ? 1 : 0;

@@ -154,6 +154,13 @@ void ExpectSameResult(const DerivationResult& ref, const DerivationResult& got) 
 // dedup and multiset permutation actually matter).
 ObservationStore RandomStore(Rng& rng, size_t members, std::vector<MemberObsKey>* keys) {
   ObservationStore store;
+  // Groups are drawn member by member, then appended in key order.
+  struct Drawn {
+    MemberObsKey key;
+    ObservationGroup group;
+    uint64_t seq = 0;
+  };
+  std::vector<Drawn> drawn;
   uint64_t txn = 0;
   for (size_t m = 0; m < members; ++m) {
     MemberObsKey key;
@@ -161,7 +168,6 @@ ObservationStore RandomStore(Rng& rng, size_t members, std::vector<MemberObsKey>
     key.subclass = kNoSubclass;
     key.member = static_cast<MemberIndex>(m);
     keys->push_back(key);
-    auto& groups = store.MutableGroups(key);
     size_t kinds = 1 + rng.Below(4);
     for (size_t k = 0; k < kinds; ++k) {
       LockSeq seq;
@@ -185,10 +191,15 @@ ObservationStore RandomStore(Rng& rng, size_t members, std::vector<MemberObsKey>
         } else {
           group.n_writes = 1;
         }
-        group.seqs.push_back(txn);
-        groups.push_back(std::move(group));
+        drawn.push_back({key, group, txn});
       }
     }
+  }
+  std::stable_sort(drawn.begin(), drawn.end(),
+                   [](const Drawn& a, const Drawn& b) { return a.key < b.key; });
+  for (Drawn& entry : drawn) {
+    entry.group.seqs = ColumnView(&entry.seq, sizeof(entry.seq), 1);
+    store.AppendGroup(entry.key, entry.group);
   }
   return store;
 }
@@ -229,7 +240,7 @@ TEST_P(DerivatorDifferentialTest, DeriveAllMatchesStringReferenceAtAnyJobCount) 
   RuleDerivator derivator;
 
   std::vector<DerivationResult> reference;
-  for (const auto& [key, groups] : store.groups()) {
+  for (const MemberObsKey& key : store.keys()) {
     for (AccessType access : {AccessType::kRead, AccessType::kWrite}) {
       DerivationResult result = ReferenceDerive(store, key, access, derivator.options());
       if (result.observed()) {

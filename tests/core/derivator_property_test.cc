@@ -18,7 +18,6 @@ ObservationStore RandomStore(Rng& rng, MemberObsKey* key_out) {
   key.subclass = kNoSubclass;
   key.member = 0;
   *key_out = key;
-  auto& groups = store.MutableGroups(key);
   uint64_t txn = 0;
   size_t kinds = 1 + rng.Below(5);
   for (size_t i = 0; i < kinds; ++i) {
@@ -35,8 +34,9 @@ ObservationStore RandomStore(Rng& rng, MemberObsKey* key_out) {
       group.txn_id = txn++;
       group.alloc_id = 0;
       group.n_writes = 1;
-      group.seqs.push_back(txn);
-      groups.push_back(std::move(group));
+      const uint64_t seq = txn;
+      group.seqs = ColumnView(&seq, sizeof(seq), 1);
+      store.AppendGroup(key, group);
     }
   }
   return store;

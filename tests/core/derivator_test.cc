@@ -21,7 +21,6 @@ ObservationStore MakeStore(const std::vector<std::pair<LockSeq, uint64_t>>& obse
   key.subclass = kNoSubclass;
   key.member = 0;
   *key_out = key;
-  auto& groups = store.MutableGroups(key);
   uint64_t txn = 0;
   for (const auto& [seq, count] : observations) {
     uint32_t seq_id = store.InternSeq(seq);
@@ -35,7 +34,8 @@ ObservationStore MakeStore(const std::vector<std::pair<LockSeq, uint64_t>>& obse
       } else {
         group.n_reads = 1;
       }
-      groups.push_back(std::move(group));
+      group.seqs = ColumnView(&group.txn_id, sizeof(group.txn_id), 1);
+      store.AppendGroup(key, group);
     }
   }
   return store;

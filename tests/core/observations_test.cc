@@ -1,6 +1,8 @@
 // Folding, write-over-read, and ES/EO lock classification (Sec. 4.2, 5.4).
 #include "src/core/observations.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "tests/core/test_helpers.h"
@@ -182,11 +184,10 @@ void ExpectStoresIdentical(const ObservationStore& a, const ObservationStore& b)
   for (uint32_t id = 0; id < a.distinct_seqs(); ++id) {
     EXPECT_EQ(a.seq(id), b.seq(id)) << "seq id " << id;
   }
-  ASSERT_EQ(a.groups().size(), b.groups().size());
-  auto it_b = b.groups().begin();
-  for (const auto& [key, groups_a] : a.groups()) {
-    ASSERT_TRUE(key == it_b->first);
-    const auto& groups_b = it_b->second;
+  ASSERT_EQ(a.keys(), b.keys());
+  for (size_t k = 0; k < a.keys().size(); ++k) {
+    const auto groups_a = a.GroupsAt(k);
+    const auto groups_b = b.GroupsAt(k);
     ASSERT_EQ(groups_a.size(), groups_b.size());
     for (size_t i = 0; i < groups_a.size(); ++i) {
       EXPECT_EQ(groups_a[i].lockseq_id, groups_b[i].lockseq_id);
@@ -194,9 +195,8 @@ void ExpectStoresIdentical(const ObservationStore& a, const ObservationStore& b)
       EXPECT_EQ(groups_a[i].alloc_id, groups_b[i].alloc_id);
       EXPECT_EQ(groups_a[i].n_reads, groups_b[i].n_reads);
       EXPECT_EQ(groups_a[i].n_writes, groups_b[i].n_writes);
-      EXPECT_EQ(groups_a[i].seqs, groups_b[i].seqs);
+      EXPECT_TRUE(std::ranges::equal(groups_a[i].seqs, groups_b[i].seqs));
     }
-    ++it_b;
   }
 }
 

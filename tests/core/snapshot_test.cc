@@ -6,8 +6,10 @@
 #include "src/core/snapshot.h"
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -22,11 +24,14 @@
 namespace lockdoc {
 namespace {
 
-std::string GoldenPathV2() {
-  return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini_v2.lockdb";
+std::string GoldenPath() {
+  return std::string(LOCKDOC_TESTDATA_DIR) + "/golden_mini_v3.lockdb";
 }
-// The MakeWorld snapshot in the retired v1 container, frozen.
-std::string LegacyV1Path() { return std::string(LOCKDOC_TESTDATA_DIR) + "/legacy_v1.lockdb"; }
+// The MakeWorld snapshot in a retired container, frozen: v1 (varint) or
+// v2 (full-width columns).
+std::string LegacyPath(int version) {
+  return std::string(LOCKDOC_TESTDATA_DIR) + "/legacy_v" + std::to_string(version) + ".lockdb";
+}
 
 // A deterministic little world that populates every section: strings,
 // tables, a global and an embedded lock, and several observation groups.
@@ -88,7 +93,8 @@ TEST(SnapshotTest, RoundTripPreservesEveryStore) {
   EXPECT_EQ(loaded.trace_stats.ToString(), snapshot.trace_stats.ToString());
 
   // Observations: identical groups, identical derived rules.
-  EXPECT_EQ(loaded.observations.groups().size(), snapshot.observations.groups().size());
+  EXPECT_EQ(loaded.observations.keys(), snapshot.observations.keys());
+  EXPECT_EQ(loaded.observations.group_count(), snapshot.observations.group_count());
   ExpectSameRules(AnalyzeSnapshot(loaded), AnalyzeSnapshot(snapshot));
 }
 
@@ -118,48 +124,53 @@ TEST(SnapshotTest, GoldenFixtureBytesArePinned) {
   const std::string bytes = SerializeSnapshot(snapshot, *world.registry);
 
   if (std::getenv("LOCKDOC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(GoldenPathV2(), std::ios::binary);
+    std::ofstream out(GoldenPath(), std::ios::binary);
     ASSERT_TRUE(out.is_open());
     out << bytes;
-    GTEST_SKIP() << "regenerated " << GoldenPathV2();
+    GTEST_SKIP() << "regenerated " << GoldenPath();
   }
 
-  const std::string golden = ReadFixture(GoldenPathV2());
+  const std::string golden = ReadFixture(GoldenPath());
   ASSERT_EQ(bytes.size(), golden.size());
   EXPECT_EQ(bytes, golden);
   auto restored = DeserializeSnapshot(golden, *world.registry);
   ASSERT_TRUE(restored.ok()) << restored.status().message();
-  EXPECT_EQ(restored.value().observations.groups().size(),
-            snapshot.observations.groups().size());
+  EXPECT_EQ(restored.value().observations.group_count(), snapshot.observations.group_count());
 }
 
-// The retired v1 container is recognized as a snapshot — so it never
-// reaches the trace reader — and every reader rejects it with a typed error
-// that says to re-import the trace.
-TEST(SnapshotTest, LegacyV1ContainerIsATypedError) {
+// The retired containers (v1, and the full-width v2) are recognized as
+// snapshots — so they never reach the trace reader — and every reader
+// rejects them with a typed error that says to re-import the trace.
+TEST(SnapshotTest, LegacyContainersAreTypedErrors) {
   TestWorld world = MakeWorld();
-  const std::string bytes = ReadFixture(LegacyV1Path());
-  ASSERT_EQ(bytes.substr(0, 8), "LOCKDB01");
-  EXPECT_TRUE(LooksLikeSnapshot(bytes));
-  EXPECT_TRUE(IsSnapshotFile(LegacyV1Path()));
+  for (int version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string path = LegacyPath(version);
+    const std::string bytes = ReadFixture(path);
+    const std::string magic = "LOCKDB0" + std::to_string(version);
+    ASSERT_EQ(bytes.substr(0, 8), magic);
+    EXPECT_TRUE(LooksLikeSnapshot(bytes));
+    EXPECT_TRUE(IsSnapshotFile(path));
 
-  auto expect_v1_error = [](const Status& status, const char* reader) {
-    ASSERT_FALSE(status.ok()) << reader;
-    EXPECT_NE(status.message().find("container v1 (LOCKDB01)"), std::string::npos)
-        << reader << ": " << status.message();
-    EXPECT_NE(status.message().find("lockdoc import"), std::string::npos)
-        << reader << ": " << status.message();
-  };
-  expect_v1_error(CheckSnapshotMagic(bytes), "CheckSnapshotMagic");
-  expect_v1_error(ScanSnapshotSections(bytes).status(), "ScanSnapshotSections");
-  expect_v1_error(DeserializeSnapshot(bytes, *world.registry).status(), "DeserializeSnapshot");
-  expect_v1_error(LoadSnapshot(LegacyV1Path(), *world.registry).status(), "LoadSnapshot");
-  expect_v1_error(PeekSnapshotTypeCount(LegacyV1Path()).status(), "PeekSnapshotTypeCount");
+    const std::string container = "container v" + std::to_string(version) + " (" + magic + ")";
+    auto expect_error = [&container](const Status& status, const char* reader) {
+      ASSERT_FALSE(status.ok()) << reader;
+      EXPECT_NE(status.message().find(container), std::string::npos)
+          << reader << ": " << status.message();
+      EXPECT_NE(status.message().find("lockdoc import"), std::string::npos)
+          << reader << ": " << status.message();
+    };
+    expect_error(CheckSnapshotMagic(bytes), "CheckSnapshotMagic");
+    expect_error(ScanSnapshotSections(bytes).status(), "ScanSnapshotSections");
+    expect_error(DeserializeSnapshot(bytes, *world.registry).status(), "DeserializeSnapshot");
+    expect_error(LoadSnapshot(path, *world.registry).status(), "LoadSnapshot");
+    expect_error(PeekSnapshotTypeCount(path).status(), "PeekSnapshotTypeCount");
 
-  EXPECT_FALSE(InspectSnapshot(bytes).magic_ok);
-  SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
-  EXPECT_FALSE(repaired.salvageable());
-  EXPECT_TRUE(repaired.bytes.empty());
+    EXPECT_FALSE(InspectSnapshot(bytes).magic_ok);
+    SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
+    EXPECT_FALSE(repaired.salvageable());
+    EXPECT_TRUE(repaired.bytes.empty());
+  }
 }
 
 TEST(SnapshotTest, RegistryShapeMismatchIsRejected) {
@@ -256,48 +267,191 @@ TEST(SnapshotTest, CorruptionSweepAgreesAcrossScanInspectAndRepair) {
   EXPECT_GT(repaired_files, 0u);
 }
 
-// A groups key whose subclass the registry does not know is a typed load
-// error, like an unknown type or member — not a CHECK abort when a pass
-// first names the key. The forged file is CRC-clean: every section is
-// re-framed through the writer.
-TEST(SnapshotTest, GroupsKeyWithUnknownSubclassIsRejected) {
-  TestWorld world = MakeWorld();
-  const std::string pristine =
-      SerializeSnapshot(BuildSnapshot(world.trace, *world.registry), *world.registry);
+// Re-frames every section of `pristine` through the writer, with `edit`
+// applied to the payload of the `occurrence`-th section of `type`: a
+// forgery whose CRCs all check out.
+std::string ForgeSection(const std::string& pristine, SnapshotSectionType type,
+                         const std::function<void(std::string&)>& edit, size_t occurrence = 0) {
   auto sections = ScanSnapshotSections(pristine);
-  ASSERT_TRUE(sections.ok());
-  ASSERT_EQ(sections.value().back().type, kSnapshotSectionGroups);
-
-  // Groups payload: u64 key_count K | u64 G | u64 S | u32 type[K] |
-  // u32 subclass[K] | ...; give the last key subclass 77.
-  std::string groups(sections.value().back().payload);
-  const uint64_t key_count = LoadUint64LE(groups.data());
-  ASSERT_GT(key_count, 0u);
-  StoreUint32LE(groups.data() + 24 + 4 * key_count + 4 * (key_count - 1), 77);
+  EXPECT_TRUE(sections.ok());
   SnapshotWriter writer;
+  size_t seen = 0;
   for (const SnapshotSection& section : sections.value()) {
-    writer.AddSection(static_cast<SnapshotSectionType>(section.type),
-                      section.type == kSnapshotSectionGroups ? std::string_view(groups)
-                                                             : section.payload);
+    std::string payload(section.payload);
+    if (section.type == type && seen++ == occurrence) {
+      edit(payload);
+    }
+    writer.AddSection(static_cast<SnapshotSectionType>(section.type), payload);
   }
-  const std::string forged = writer.Finish().value();
-  ASSERT_TRUE(InspectSnapshot(forged).clean());
+  std::string forged = writer.Finish().value();
+  EXPECT_TRUE(InspectSnapshot(forged).clean());
+  return forged;
+}
 
-  auto restored = DeserializeSnapshot(forged, *world.registry);
+// Both loaders must reject `forged` with a typed error naming `what`.
+void ExpectTypedLoadError(const std::string& forged, const TypeRegistry& registry,
+                          const std::string& what) {
+  auto restored = DeserializeSnapshot(forged, registry);
   ASSERT_FALSE(restored.ok());
-  EXPECT_NE(restored.status().message().find("key out of registry range"), std::string::npos)
+  EXPECT_NE(restored.status().message().find(what), std::string::npos)
       << restored.status().message();
 
-  std::string path = ::testing::TempDir() + "/snapshot_test_unknown_subclass.lockdb";
+  std::string path = ::testing::TempDir() + "/snapshot_test_forged.lockdb";
   {
     std::ofstream out(path, std::ios::binary);
     out << forged;
   }
-  auto loaded = LoadSnapshot(path, *world.registry);
+  auto loaded = LoadSnapshot(path, registry);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("key out of registry range"), std::string::npos)
+  EXPECT_NE(loaded.status().message().find(what), std::string::npos)
       << loaded.status().message();
   std::filesystem::remove(path);
+}
+
+// Offsets into a groups payload: its three counts, then one width byte per
+// array (keys' type, subclass, member and group count; the groups'
+// lockseq, txn, alloc, n_reads and n_writes; seqs) padded to 8, then the
+// arrays, each padded to 8.
+constexpr size_t kGroupsWidthOffset = 24;
+constexpr size_t kGroupsLockseq = 4;
+constexpr size_t kGroupsNWrites = 8;
+
+size_t GroupArrayOffset(const std::string& groups, size_t array) {
+  const uint64_t counts[3] = {LoadUint64LE(groups.data()), LoadUint64LE(groups.data() + 8),
+                              LoadUint64LE(groups.data() + 16)};
+  size_t offset = 40;
+  for (size_t i = 0; i < array; ++i) {
+    const uint64_t rows = counts[i < 4 ? 0 : i < 9 ? 1 : 2];
+    offset += PaddedPayloadSize(rows * static_cast<uint8_t>(groups[kGroupsWidthOffset + i]));
+  }
+  return offset;
+}
+
+// Adds `delta` to value `index` of groups array `array`, at its width.
+void AddToGroupArray(std::string& groups, size_t array, size_t index, int64_t delta) {
+  const size_t width = static_cast<uint8_t>(groups[kGroupsWidthOffset + array]);
+  char* at = groups.data() + GroupArrayOffset(groups, array) + index * width;
+  uint64_t value = 0;
+  std::memcpy(&value, at, width);
+  value += static_cast<uint64_t>(delta);
+  std::memcpy(at, &value, width);
+}
+
+// A groups key whose subclass the registry does not know is a typed load
+// error, like an unknown type or member — not a CHECK abort when a pass
+// first names the key.
+TEST(SnapshotTest, GroupsKeyWithUnknownSubclassIsRejected) {
+  TestWorld world = MakeWorld();
+  const std::string pristine =
+      SerializeSnapshot(BuildSnapshot(world.trace, *world.registry), *world.registry);
+  // Give the last key subclass 77.
+  const std::string forged = ForgeSection(pristine, kSnapshotSectionGroups, [](std::string& groups) {
+    const uint64_t key_count = LoadUint64LE(groups.data());
+    ASSERT_GT(key_count, 0u);
+    const size_t width = static_cast<uint8_t>(groups[kGroupsWidthOffset + 1]);
+    char* last = groups.data() + GroupArrayOffset(groups, 1) + width * (key_count - 1);
+    const uint64_t subclass = 77;
+    std::memcpy(last, &subclass, width);
+  });
+  ExpectTypedLoadError(forged, *world.registry, "key out of registry range");
+}
+
+// Where a table payload's header puts the first numeric column's width
+// byte and the row count.
+struct TableHeaderOffsets {
+  size_t first_width = 0;
+  size_t row_count = 0;
+};
+
+TableHeaderOffsets ParseTableHeader(const std::string& payload) {
+  TableHeaderOffsets offsets;
+  ByteCursor in{payload.data(), payload.size(), 0};
+  std::string text;
+  uint64_t columns = 0;
+  EXPECT_TRUE(GetLengthPrefixed(in, &text, 1 << 20) && GetVarint(in, &columns));
+  for (uint64_t i = 0; i < columns; ++i) {
+    uint8_t type = 0;
+    EXPECT_TRUE(GetLengthPrefixed(in, &text, 1 << 20) && in.Get(&type));
+    if (type != static_cast<uint8_t>(ColumnType::kString)) {
+      if (offsets.first_width == 0) {
+        offsets.first_width = in.pos;
+      }
+      ++in.pos;
+    }
+  }
+  uint64_t indexed = 0;
+  uint64_t column = 0;
+  EXPECT_TRUE(GetVarint(in, &indexed));
+  for (uint64_t i = 0; i < indexed; ++i) {
+    EXPECT_TRUE(GetVarint(in, &column));
+  }
+  offsets.row_count = in.pos;
+  return offsets;
+}
+
+// Payloads whose CRCs check out but whose narrow arrays lie: a width
+// outside {1, 2, 4, 8}, a column that runs past its payload, a group whose
+// lock sequence does not exist, and counts that do not sum to the totals.
+// Each is a typed error from both loaders, never an abort.
+TEST(SnapshotTest, CrcCleanForgeriesOfNarrowArraysAreTypedErrors) {
+  TestWorld world = MakeWorld();
+  AnalysisSnapshot snapshot = BuildSnapshot(world.trace, *world.registry);
+  const std::string pristine = SerializeSnapshot(snapshot, *world.registry);
+  const TypeRegistry& registry = *world.registry;
+  for (uint8_t width : {0, 3, 16}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionTable,
+                                      [width](std::string& table) {
+                                        table[ParseTableHeader(table).first_width] =
+                                            static_cast<char>(width);
+                                      }),
+                         registry, "bad column width");
+    ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionGroups,
+                                      [width](std::string& groups) {
+                                        groups[kGroupsWidthOffset + kGroupsLockseq] =
+                                            static_cast<char>(width);
+                                      }),
+                         registry, "bad array width");
+  }
+  // Row counts whose columns need more bytes than the payload holds.
+  ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionTable,
+                                    [](std::string& table) {
+                                      const size_t at = ParseTableHeader(table).row_count;
+                                      ASSERT_LT(static_cast<uint8_t>(table[at]), 0x80);
+                                      table[at] = 0x7f;  // One varint byte, still.
+                                    }),
+                       registry, "truncated");
+  ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionGroups,
+                                    [](std::string& groups) {
+                                      StoreUint64LE(groups.data() + 16,
+                                                    LoadUint64LE(groups.data() + 16) + 4096);
+                                    }),
+                       registry, "array runs past the payload");
+  // A lock sequence id at the seq count.
+  const int64_t seq_count = static_cast<int64_t>(snapshot.observations.distinct_seqs());
+  const int64_t first_lockseq = snapshot.observations.group(0).lockseq_id;
+  ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionGroups,
+                                    [&](std::string& groups) {
+                                      AddToGroupArray(groups, kGroupsLockseq, 0,
+                                                      seq_count - first_lockseq);
+                                    }),
+                       registry, "bad group");
+  // Counts that do not sum to the totals: one group fewer for the first
+  // key, one write fewer for a group that has one.
+  ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionGroups,
+                                    [](std::string& groups) {
+                                      AddToGroupArray(groups, 3, 0, -1);
+                                    }),
+                       registry, "group counts do not sum to the group total");
+  size_t writer = 0;
+  while (snapshot.observations.group(writer).n_writes == 0) {
+    ++writer;
+  }
+  ExpectTypedLoadError(ForgeSection(pristine, kSnapshotSectionGroups,
+                                    [writer](std::string& groups) {
+                                      AddToGroupArray(groups, kGroupsNWrites, writer, -1);
+                                    }),
+                       registry, "do not sum to the seq total");
 }
 
 // Forward compatibility: a CRC-intact section of a type this build does

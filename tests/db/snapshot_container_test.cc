@@ -113,7 +113,7 @@ TEST(SnapshotContainerTest, EveryByteFlipIsDetected) {
   std::string pristine = TinySnapshot();
   // Flip each byte after the magic in turn; the strict scan must fail every
   // time (CRC, marker, or structural check) and never crash.
-  for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
+  for (size_t i = sizeof(kSnapshotMagic); i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] ^= 0x40;
     EXPECT_FALSE(ScanSnapshotSections(bytes).ok()) << "undetected flip at offset " << i;
@@ -155,7 +155,7 @@ TEST(SnapshotContainerTest, V2WriterScanRoundTripIsAligned) {
     // after the fixed 32-byte header) sits on an 8-byte boundary, and the
     // CRC domain is the payload padded out to the next boundary.
     EXPECT_EQ(section.offset % 8, 0u);
-    EXPECT_EQ((section.offset + kSnapshotV2FrameHeaderSize) % 8, 0u);
+    EXPECT_EQ((section.offset + kSnapshotFrameHeaderSize) % 8, 0u);
     EXPECT_EQ(section.padded_payload.size() % 8, 0u);
     EXPECT_GT(section.padded_payload.size(), section.payload.size());
   }
@@ -165,7 +165,7 @@ TEST(SnapshotContainerTest, V2EveryByteFlipIsDetected) {
   std::string pristine = TinySnapshotWithTablePayload();
   // Padding bytes included: header pads are covered by the header CRC and
   // payload pads by the padded-payload CRC, so no flipped byte may pass.
-  for (size_t i = sizeof(kSnapshotMagicV2); i < pristine.size(); ++i) {
+  for (size_t i = sizeof(kSnapshotMagic); i < pristine.size(); ++i) {
     std::string bytes = pristine;
     bytes[i] ^= 0x40;
     EXPECT_FALSE(ScanSnapshotSections(bytes).ok()) << "undetected flip at offset " << i;
@@ -209,7 +209,9 @@ TEST(SnapshotContainerTest, StreamedFramesMatchBufferedAndSinkErrorsStick) {
   });
   writer.AddSection(kSnapshotSectionMeta, "meta-payload");
   writer.AddSection(kSnapshotSectionTable,
-                    std::vector<std::string_view>{"head|", "", "column-a|", "column-b|"});
+                    std::vector<PayloadPiece>{std::string_view("head|"), std::string_view(),
+                                              std::string_view("column-a|"),
+                                              std::string_view("column-b|")});
   auto finished = writer.Finish();
   ASSERT_TRUE(finished.ok()) << finished.status().message();
   EXPECT_TRUE(finished.value().empty());
@@ -237,10 +239,10 @@ TEST(SnapshotContainerTest, CorruptV2LengthIsClampedAndLaterFramesSurvive) {
   // the deeper failure mode: a self-consistent header whose length points
   // past later valid frames.
   size_t frame = sections.value()[1].offset;
-  PatchU64(&bytes, frame + kSnapshotV2LengthOffset, uint64_t{1} << 40);
-  uint32_t forged_crc = Crc32(bytes.data() + frame + kSnapshotV2TypeOffset,
-                              kSnapshotV2HeaderCrcOffset - kSnapshotV2TypeOffset);
-  PatchU32(&bytes, frame + kSnapshotV2HeaderCrcOffset, forged_crc);
+  PatchU64(&bytes, frame + kSnapshotLengthOffset, uint64_t{1} << 40);
+  uint32_t forged_crc = Crc32(bytes.data() + frame + kSnapshotTypeOffset,
+                              kSnapshotHeaderCrcOffset - kSnapshotTypeOffset);
+  PatchU32(&bytes, frame + kSnapshotHeaderCrcOffset, forged_crc);
 
   EXPECT_FALSE(ScanSnapshotSections(bytes).ok());
   SnapshotInspection inspection = InspectSnapshot(bytes);
@@ -350,7 +352,7 @@ TEST(SnapshotContainerTest, TableSectionRoundTrip) {
   std::string_view payload = FramedTablePayload(table, &bytes);
 
   Database restored_db;
-  ASSERT_TRUE(DecodeTableSectionV2(payload, &restored_db).ok());
+  ASSERT_TRUE(DecodeTableSection(payload, &restored_db).ok());
   ASSERT_TRUE(restored_db.HasTable("sample"));
   const Table& restored = restored_db.table("sample");
   ASSERT_EQ(restored.row_count(), table.row_count());
@@ -369,8 +371,8 @@ TEST(SnapshotContainerTest, TableSectionRejectsDuplicateTable) {
   std::string bytes;
   std::string_view payload = FramedTablePayload(MakeSampleTable(&db), &bytes);
   Database restored;
-  ASSERT_TRUE(DecodeTableSectionV2(payload, &restored).ok());
-  EXPECT_FALSE(DecodeTableSectionV2(payload, &restored).ok());
+  ASSERT_TRUE(DecodeTableSection(payload, &restored).ok());
+  EXPECT_FALSE(DecodeTableSection(payload, &restored).ok());
 }
 
 TEST(SnapshotContainerTest, TableSectionRejectsTruncatedPayload) {
@@ -379,7 +381,7 @@ TEST(SnapshotContainerTest, TableSectionRejectsTruncatedPayload) {
   std::string_view payload = FramedTablePayload(MakeSampleTable(&db), &bytes);
   for (size_t keep : {size_t{0}, size_t{1}, payload.size() / 2, payload.size() - 1}) {
     Database restored;
-    EXPECT_FALSE(DecodeTableSectionV2(payload.substr(0, keep), &restored).ok())
+    EXPECT_FALSE(DecodeTableSection(payload.substr(0, keep), &restored).ok())
         << "truncated to " << keep;
   }
 }

@@ -53,7 +53,7 @@ TEST(SnapshotRepairTest, DamagedSectionIsDroppedAndRestIsKept)  {
   std::string bytes = BuildContainer();
   // Flip payload bytes inside the table section (section index 2).
   size_t table_at = MarkerOffset(bytes, 2);
-  bytes[table_at + kSnapshotV2FrameHeaderSize + 10] ^= 0x5A;
+  bytes[table_at + kSnapshotFrameHeaderSize + 10] ^= 0x5A;
   ASSERT_FALSE(InspectSnapshot(bytes).clean());
   ASSERT_FALSE(ScanSnapshotSections(bytes).ok());
 
@@ -78,7 +78,7 @@ TEST(SnapshotRepairTest, DamagedSectionIsDroppedAndRestIsKept)  {
 TEST(SnapshotRepairTest, TruncatedTailKeepsThePrefix) {
   std::string bytes = BuildContainer();
   // Cut mid-way through the table section.
-  bytes.resize(MarkerOffset(bytes, 2) + kSnapshotV2FrameHeaderSize + 100);
+  bytes.resize(MarkerOffset(bytes, 2) + kSnapshotFrameHeaderSize + 100);
 
   SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);
   ASSERT_TRUE(repaired.salvageable());
@@ -100,7 +100,7 @@ TEST(SnapshotRepairTest, DestroyedMagicIsNotSalvageable) {
 TEST(SnapshotRepairTest, EveryThingDamagedButMagicYieldsEmptyContainer) {
   std::string bytes = BuildContainer();
   // Zero everything after the magic: no section survives.
-  for (size_t i = sizeof(kSnapshotMagicV2); i < bytes.size(); ++i) {
+  for (size_t i = sizeof(kSnapshotMagic); i < bytes.size(); ++i) {
     bytes[i] = 0;
   }
   SnapshotRepairResult repaired = RepairSnapshotBytes(bytes);

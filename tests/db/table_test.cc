@@ -10,7 +10,9 @@
 #include "src/core/pipeline.h"
 #include "src/core/snapshot.h"
 #include "src/db/schema.h"
+#include "src/db/snapshot.h"
 #include "src/util/rng.h"
+#include "src/util/string_util.h"
 #include "src/vfs/vfs_kernel.h"
 #include "src/workload/workloads.h"
 
@@ -54,6 +56,19 @@ Table MakeKeyTable(const std::vector<uint64_t>& keys) {
   }
   table.CreateIndex(0);
   return table;
+}
+
+// Frames `table` through the snapshot writer and decodes it into `db`: its
+// u64 columns come back as views at the width their values need. `bytes`
+// holds the viewed payload and must outlive `db`.
+const Table& NarrowRoundTrip(const Table& table, std::string* bytes, Database* db) {
+  SnapshotWriter writer;
+  writer.AddTableSection(table);
+  *bytes = writer.Finish().value();
+  auto sections = ScanSnapshotSections(*bytes);
+  EXPECT_TRUE(sections.ok() && sections.value().size() == 1);
+  EXPECT_TRUE(DecodeTableSection(sections.value()[0].payload, db).ok());
+  return db->table(table.name());
 }
 
 TEST(TableTest, InsertAndTypedGet) {
@@ -157,38 +172,112 @@ TEST(TableTest, SetUint64BreakingOrderAfterLookupStaysCorrect) {
 TEST(TableTest, ParallelFirstLookupsAgreeWithScan) {
   // Threads race the first lookup, which checks the column's order: one
   // on a key-ordered column (binary-searched), one on an unordered column
-  // (scanned).
-  std::vector<uint64_t> ordered;
-  std::vector<uint64_t> unordered;
-  Rng rng(5);
-  for (uint64_t i = 0; i < 3000; ++i) {
-    ordered.push_back(i / 3);
-    unordered.push_back(rng.Below(1000));
-  }
-  for (const std::vector<uint64_t>* keys : {&ordered, &unordered}) {
-    Table table = MakeKeyTable(*keys);
-    std::vector<std::vector<RowId>> expected;
-    for (uint64_t value = 0; value < 1001; ++value) {
-      expected.push_back(ScanEqual(table, 0, value));
+  // (scanned); owned, and viewed at each width the codec stores.
+  for (uint64_t base : {uint64_t{0}, uint64_t{1000}, uint64_t{1} << 20, uint64_t{1} << 40}) {
+    const uint64_t span = base == 0 ? 250 : 1000;
+    std::vector<uint64_t> ordered;
+    std::vector<uint64_t> unordered;
+    Rng rng(5);
+    for (uint64_t i = 0; i < 3000; ++i) {
+      ordered.push_back(base + i * span / 3000);
+      unordered.push_back(base + rng.Below(span));
     }
-    constexpr size_t kThreads = 8;
-    std::vector<size_t> mismatches(kThreads, 0);
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (uint64_t i = 0; i < expected.size(); ++i) {
-          uint64_t value = (i * 7 + t * 131) % expected.size();
-          if (table.LookupEqual(0, value) != expected[value]) {
-            ++mismatches[t];
-          }
+    for (const std::vector<uint64_t>* keys : {&ordered, &unordered}) {
+      Table owned = MakeKeyTable(*keys);
+      std::string bytes;
+      Database db;
+      const Table& viewed = NarrowRoundTrip(owned, &bytes, &db);
+      ASSERT_TRUE(viewed.column_data(0).is_view());
+      SCOPED_TRACE("width " + std::to_string(viewed.Column(0).width()));
+      for (const Table* table : {static_cast<const Table*>(&owned), &viewed}) {
+        std::vector<std::vector<RowId>> expected;
+        for (uint64_t value = base; value < base + span + 1; ++value) {
+          expected.push_back(ScanEqual(*table, 0, value));
         }
-      });
+        constexpr size_t kThreads = 8;
+        std::vector<size_t> mismatches(kThreads, 0);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kThreads; ++t) {
+          threads.emplace_back([&, t] {
+            for (uint64_t i = 0; i < expected.size(); ++i) {
+              uint64_t slot = (i * 7 + t * 131) % expected.size();
+              if (table->LookupEqual(0, base + slot) != expected[slot]) {
+                ++mismatches[t];
+              }
+            }
+          });
+        }
+        for (std::thread& thread : threads) {
+          thread.join();
+        }
+        for (size_t t = 0; t < kThreads; ++t) {
+          EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+        }
+      }
     }
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-    for (size_t t = 0; t < kThreads; ++t) {
-      EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+// Columns whose maximum sits at each width boundary, with and without
+// nulls, come back at the narrowest width that holds them, read back every
+// value exactly, and answer every lookup as a scan does: for each value up
+// to max + 2 (near the boundary only, at the u32 boundary), kDbNull, and a
+// value too wide for the column. Key-ordered columns with an index take
+// the binary search, the others the scan.
+TEST(TableTest, NarrowColumnsAtEachWidthBoundaryMatchSourceAndScan) {
+  struct Case {
+    uint64_t max;
+    uint8_t width;
+  };
+  const Case cases[] = {{254, 1},
+                        {255, 2},
+                        {65534, 2},
+                        {65535, 4},
+                        {(uint64_t{1} << 32) - 2, 4},
+                        {(uint64_t{1} << 32) - 1, 8}};
+  for (const Case& c : cases) {
+    for (bool with_null : {false, true}) {
+      for (bool indexed : {false, true}) {
+        SCOPED_TRACE(StrFormat("max %llu%s%s", static_cast<unsigned long long>(c.max),
+                               with_null ? " with null" : "", indexed ? " indexed" : ""));
+        std::vector<uint64_t> values = {0, 0, 1, 7, c.max / 2, c.max - 1, c.max, c.max};
+        if (with_null) {
+          values.push_back(kDbNull);
+        }
+        Table owned("k", {{"key", ColumnType::kUint64}});
+        for (uint64_t value : values) {
+          owned.Insert({value});
+        }
+        if (indexed) {
+          owned.CreateIndex(0);
+        }
+        std::string bytes;
+        Database db;
+        const Table& table = NarrowRoundTrip(owned, &bytes, &db);
+        ASSERT_TRUE(table.column_data(0).is_view());
+        EXPECT_EQ(table.Column(0).width(), c.width);
+        EXPECT_EQ(table.HasIndex(0), indexed);
+        for (RowId row = 0; row < values.size(); ++row) {
+          EXPECT_EQ(table.GetUint64(row, 0), values[row]) << "row " << row;
+          EXPECT_EQ(table.Column(0)[row], values[row]) << "row " << row;
+        }
+        std::vector<uint64_t> probes = {kDbNull, c.max + 1, c.max + 2,
+                                        uint64_t{1} << (8 * c.width - 1) << 1};
+        if (c.width == 8) {
+          probes.back() = kDbNull - 1;
+        }
+        const uint64_t dense = c.max < (1u << 17) ? c.max + 2 : 1000;
+        for (uint64_t value = 0; value <= dense; ++value) {
+          probes.push_back(value);
+        }
+        for (uint64_t value = c.max > dense ? c.max - 1000 : dense + 1; value <= c.max + 2;
+             ++value) {
+          probes.push_back(value);
+        }
+        for (uint64_t value : probes) {
+          EXPECT_EQ(table.LookupEqual(0, value), ScanEqual(owned, 0, value)) << "value " << value;
+        }
+      }
     }
   }
 }
@@ -229,8 +318,8 @@ TEST(TableTest, LoadedSnapshotViewColumnsAreKeyOrderedAndMatchScan) {
       ASSERT_TRUE(table.HasIndex(column));
       ASSERT_GT(table.row_count(), 0u);
       EXPECT_TRUE(table.column_data(column).is_view());
-      const uint64_t* data = table.ColumnU64Data(column);
-      EXPECT_TRUE(std::is_sorted(data, data + table.row_count()));
+      const ColumnView data = table.Column(column);
+      EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
       std::map<uint64_t, std::vector<RowId>> expected;
       for (RowId row = 0; row < table.row_count(); ++row) {
         expected[data[row]].push_back(row);

@@ -171,7 +171,8 @@ TEST_F(EndToEndTest, DatabaseCsvRoundTrip) {
             result_->snapshot.db.table(LockDocSchema::kAccesses).row_count());
 
   ObservationStore replay = ExtractObservations(restored, *sim_->registry);
-  EXPECT_EQ(replay.groups().size(), result_->snapshot.observations.groups().size());
+  EXPECT_EQ(replay.keys(), result_->snapshot.observations.keys());
+  EXPECT_EQ(replay.group_count(), result_->snapshot.observations.group_count());
 }
 
 }  // namespace

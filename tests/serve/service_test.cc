@@ -373,25 +373,38 @@ TEST_F(ServeServiceTest, EmptyFileIsQuarantinedTyped) {
 
 // The retired v1 container never reaches the trace reader or the resident
 // store: it is quarantined with the loader's typed error as its reason.
-TEST_F(ServeServiceTest, V1SnapshotIsQuarantinedWithTheReimportMessage) {
+// A retired container — a v1 stub, or a real full-width v2 file frozen
+// from before v3 — is quarantined with a reason that names it and a hint
+// that says to re-import: doctor cannot read or repair either.
+TEST_F(ServeServiceTest, RetiredSnapshotsAreQuarantinedWithTheReimportMessage) {
+  auto legacy_v2 =
+      ReadFileToString(std::string(LOCKDOC_TESTDATA_DIR) + "/legacy_v2.lockdb");
+  ASSERT_TRUE(legacy_v2.ok());
   ASSERT_TRUE(
-      WriteFileAtomic(layout_.incoming_dir + "/old.lockdb", "LOCKDB01 then v1 frames").ok());
+      WriteFileAtomic(layout_.incoming_dir + "/old1.lockdb", "LOCKDB01 then v1 frames").ok());
+  ASSERT_TRUE(WriteFileAtomic(layout_.incoming_dir + "/old2.lockdb", legacy_v2.value()).ok());
   ServeService service(layout_, sim_.registry.get(), options_);
   ASSERT_TRUE(service.Recover().ok());
   ASSERT_TRUE(service.ProcessOnce().ok());
 
-  auto reason = ReadFileToString(layout_.quarantine_dir + "/old.lockdb.reason");
-  ASSERT_TRUE(reason.ok());
-  EXPECT_NE(reason.value().find("kind=damaged-snapshot\n"), std::string::npos) << reason.value();
-  EXPECT_NE(reason.value().find("container v1 (LOCKDB01)"), std::string::npos) << reason.value();
-  EXPECT_NE(reason.value().find("lockdoc import"), std::string::npos) << reason.value();
-  // The hint sends the user to a re-import: doctor cannot read or repair v1.
-  size_t hint = reason.value().find("hint=");
-  ASSERT_NE(hint, std::string::npos) << reason.value();
-  std::string hint_line = reason.value().substr(hint, reason.value().find('\n', hint) - hint);
-  EXPECT_NE(hint_line.find("lockdoc import"), std::string::npos) << hint_line;
-  EXPECT_EQ(hint_line.find("doctor"), std::string::npos) << hint_line;
-  EXPECT_EQ(service.stats().quarantined, 1u);
+  for (int version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    auto reason = ReadFileToString(layout_.quarantine_dir + "/old" + std::to_string(version) +
+                                   ".lockdb.reason");
+    ASSERT_TRUE(reason.ok());
+    EXPECT_NE(reason.value().find("kind=damaged-snapshot\n"), std::string::npos)
+        << reason.value();
+    const std::string container =
+        "container v" + std::to_string(version) + " (LOCKDB0" + std::to_string(version) + ")";
+    EXPECT_NE(reason.value().find(container), std::string::npos) << reason.value();
+    EXPECT_NE(reason.value().find("lockdoc import"), std::string::npos) << reason.value();
+    size_t hint = reason.value().find("hint=");
+    ASSERT_NE(hint, std::string::npos) << reason.value();
+    std::string hint_line = reason.value().substr(hint, reason.value().find('\n', hint) - hint);
+    EXPECT_NE(hint_line.find("lockdoc import"), std::string::npos) << hint_line;
+    EXPECT_EQ(hint_line.find("doctor"), std::string::npos) << hint_line;
+  }
+  EXPECT_EQ(service.stats().quarantined, 2u);
   EXPECT_EQ(service.stats().ingested, 0u);
 }
 

@@ -224,10 +224,10 @@ bool LoadSnapshotFromPath(const std::string& path, const FlagSet& flags, Analysi
     auto loaded = LoadSnapshot(path, *out->registry);
     if (!loaded.ok()) {
       std::fprintf(stderr, "lockdoc: %s\n", loaded.status().message().c_str());
-      // Doctor inspects and repairs damaged LOCKDB02 files only; a file
-      // whose magic CheckSnapshotMagic rejects (the retired LOCKDB01) can
-      // only be rebuilt from its trace.
-      std::string magic(sizeof(kSnapshotMagicV2), '\0');
+      // Doctor inspects and repairs damaged LOCKDB03 files only; a file
+      // whose magic CheckSnapshotMagic rejects (a retired LOCKDB01 or
+      // LOCKDB02) can only be rebuilt from its trace.
+      std::string magic(sizeof(kSnapshotMagic), '\0');
       std::ifstream(path, std::ios::binary).read(magic.data(), magic.size());
       if (CheckSnapshotMagic(magic).ok()) {
         std::fprintf(stderr, "lockdoc: (try `lockdoc doctor %s`)\n", path.c_str());
@@ -548,10 +548,11 @@ int CmdImport(const FlagSet& flags) {
     return 1;
   }
   Result<uint64_t> written_size = FileSize(out);
-  std::printf("imported %s events into %s (%s bytes, %s observation groups)\n",
+  std::printf("imported %s events into %s (%s bytes, %s observation groups of %s members)\n",
               FormatWithCommas(snapshot.import_stats.events).c_str(), out.c_str(),
               FormatWithCommas(written_size.ok() ? written_size.value() : 0).c_str(),
-              FormatWithCommas(snapshot.observations.groups().size()).c_str());
+              FormatWithCommas(snapshot.observations.group_count()).c_str(),
+              FormatWithCommas(snapshot.observations.keys().size()).c_str());
   return 0;
 }
 
@@ -784,8 +785,8 @@ int DoctorSnapshot(const std::string& path, const std::string& repair_out) {
     return 2;
   }
   const std::string& bytes = read.value();
-  // A v1 container has nothing readable or repairable; its typed error
-  // says to re-import.
+  // A retired container (LOCKDB01, LOCKDB02) has nothing readable or
+  // repairable; its typed error says to re-import.
   if (Status magic = CheckSnapshotMagic(bytes); !magic.ok()) {
     std::printf("%s: %s\n", path.c_str(), magic.message().c_str());
     std::printf("verdict: unreadable\n");
