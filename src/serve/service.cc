@@ -17,6 +17,7 @@
 #include "src/trace/trace_io.h"
 #include "src/util/file_io.h"
 #include "src/util/string_util.h"
+#include "src/util/thread_pool.h"
 
 namespace lockdoc {
 
@@ -394,8 +395,12 @@ bool ServeService::IngestOne(const std::string& source, uint32_t attempts) {
     }
     ack.extra.emplace_back("kind", "snapshot");
   } else {
+    // One read, in salvage mode on the ingest's --jobs lanes: a clean trace
+    // reads as a strict read would, and damage is reported in the ack.
+    ThreadPool read_pool(options_.pipeline.jobs);
     TraceReadOptions read_options;
     read_options.salvage = true;
+    read_options.pool = &read_pool;
     TraceReadReport report;
     auto trace = ReadTraceFromBytes(input, read_options, &report);
     std::string().swap(input);  // The events are decoded out of it.

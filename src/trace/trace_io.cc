@@ -8,7 +8,6 @@
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <tuple>
 #include <vector>
 
 #include "src/util/crc32.h"
@@ -35,9 +34,6 @@ constexpr uint64_t kMaxFramePayload = 1ull << 30;
 // Defensive cap: no interned string in a sane trace exceeds this.
 constexpr uint64_t kMaxStringSize = 1u << 20;
 constexpr uint64_t kMaxStackFrames = 4096;
-// Cap on the placeholder pool built when the string table was lost; the
-// references in CRC-intact event frames can never legitimately exceed it.
-constexpr uint64_t kMaxPlaceholderStrings = 1u << 24;
 
 // The whole stream is buffered before parsing (ByteCursor over the bytes):
 // salvage needs random access for resynchronization, and absolute byte
@@ -223,12 +219,14 @@ Status OffsetError(size_t offset, const std::string& what) {
                                  static_cast<unsigned long long>(offset), what.c_str()));
 }
 
-// Validates the string/stack references of `e` against the final tables.
-// Returns false if the event must be dropped. In salvage mode a dangling
-// stack reference is cleared in place instead of dropping the event.
-bool FixupEventRefs(TraceEvent* e, size_t pool_size, const std::vector<bool>& stack_valid,
-                    bool salvage, TraceReadReport& report) {
-  if (e->name >= pool_size || e->loc.file >= pool_size) {
+// Validates the string/stack references of `e` against the final tables:
+// ids below `string_limit` name a string, and a stack id must name a valid
+// stack. Returns false if the event must be dropped (in strict mode, if the
+// read must fail). In salvage mode a dangling stack reference is cleared in
+// place instead, and counted in `*stack_refs_cleared`.
+bool FixupEventRefs(TraceEvent* e, uint64_t string_limit, const std::vector<bool>& stack_valid,
+                    bool salvage, uint64_t* stack_refs_cleared) {
+  if (e->name >= string_limit || e->loc.file >= string_limit) {
     return false;
   }
   if (e->stack != kInvalidStack &&
@@ -237,7 +235,7 @@ bool FixupEventRefs(TraceEvent* e, size_t pool_size, const std::vector<bool>& st
       return false;
     }
     e->stack = kInvalidStack;
-    ++report.stack_refs_cleared;
+    ++*stack_refs_cleared;
   }
   return true;
 }
@@ -339,7 +337,8 @@ Result<Trace> ReadTraceV1(std::string_view bytes, const TraceReadOptions& option
   for (uint64_t i = 0; i < event_count; ++i) {
     size_t record_start = in.pos;
     TraceEvent e;
-    if (!GetEvent(in, &e) || !FixupEventRefs(&e, pool_size, stack_valid, salvage, report)) {
+    if (!GetEvent(in, &e) ||
+        !FixupEventRefs(&e, pool_size, stack_valid, salvage, &report.stack_refs_cleared)) {
       if (salvage) {
         report.events_dropped = event_count - i;
         return partial(record_start);
@@ -352,294 +351,119 @@ Result<Trace> ReadTraceV1(std::string_view bytes, const TraceReadOptions& option
   return std::move(trace);
 }
 
-// --- v2 strict: one serial header walk, then CRC verification and
-// event-frame decoding fanned out over the thread pool (inline when no pool
-// is given). Error behavior is bit-for-bit the serial reader's: every check
-// the serial loop runs *before* a frame's CRC fires immediately during the
-// walk, and every check it runs *after* the CRC is recorded as a pending
-// error that only surfaces if no earlier frame's CRC failed — so the first
-// error the serial reader would report is the one returned, at the same
-// offset, regardless of thread count.
-Result<Trace> ReadTraceV2Strict(std::string_view bytes, ThreadPool* pool,
-                                TraceReadReport& report) {
-  report.format_version = 2;
-  const size_t kHeader = kTraceFrameHeaderSize;
-  const size_t kTrailer = kTraceFrameTrailerSize;
-  const char* marker = reinterpret_cast<const char*>(kTraceFrameMarker);
-
-  struct FrameRef {
-    size_t marker_pos = 0;
-    uint8_t type = 0;
-    uint32_t seq = 0;
-    size_t payload_off = 0;
-    size_t length = 0;
-  };
-
-  // --- Phase A: serial header walk (no CRCs). ---
-  std::vector<FrameRef> frames;
-  std::optional<Status> pending;  // First post-CRC structural error.
-  std::optional<std::pair<size_t, size_t>> strings_frame;  // (payload offset, length)
-  std::optional<std::pair<size_t, size_t>> stacks_frame;
-  std::vector<std::pair<size_t, size_t>> event_frames;
-  std::optional<uint64_t> declared_total;
-  bool saw_end = false;
-  uint32_t expected_seq = 0;
-  size_t pos = sizeof(kMagicV2);
-  size_t parse_end = pos;
-
-  while (pos < bytes.size()) {
-    if (bytes.compare(pos, sizeof(kTraceFrameMarker), marker, sizeof(kTraceFrameMarker)) !=
-        0) {
-      return OffsetError(pos, "bad frame marker");
-    }
-    if (pos + kHeader + kTrailer > bytes.size()) {
-      return OffsetError(pos, "truncated frame");
-    }
-    uint8_t type = static_cast<uint8_t>(bytes[pos + 4]);
-    uint32_t seq = LoadUint32LE(bytes.data() + pos + 5);
-    uint64_t length = LoadUint32LE(bytes.data() + pos + 9);
-    if (length > kMaxFramePayload || pos + kHeader + length + kTrailer > bytes.size()) {
-      return OffsetError(pos, StrFormat("frame length %llu exceeds remaining bytes",
-                                        static_cast<unsigned long long>(length)));
-    }
-    size_t payload_off = pos + kHeader;
-    size_t frame_end = payload_off + length + kTrailer;
-    frames.push_back({pos, type, seq, payload_off, length});
-
-    if (seq != expected_seq) {
-      pending = OffsetError(pos, "frame out of sequence");
-      break;
-    }
-    ++expected_seq;
-    if (saw_end) {
-      pending = OffsetError(pos, "frame after end frame");
-      break;
-    }
-    if ((seq == 0 && type != kFrameStrings) || (seq == 1 && type != kFrameStacks) ||
-        (seq >= 2 && type != kFrameEvents && type != kFrameEnd)) {
-      pending = OffsetError(pos, "unexpected frame type");
-      break;
-    }
-    switch (type) {
-      case kFrameStrings:
-        strings_frame = {payload_off, length};
-        break;
-      case kFrameStacks:
-        stacks_frame = {payload_off, length};
-        break;
-      case kFrameEvents:
-        event_frames.emplace_back(payload_off, length);
-        break;
-      case kFrameEnd: {
-        ByteCursor c{bytes.data(), payload_off + length, payload_off};
-        uint64_t total = 0;
-        if (!GetVarint(c, &total)) {
-          pending = OffsetError(payload_off, "malformed end frame");
-        } else {
-          declared_total = total;
-          saw_end = true;
-        }
-        break;
-      }
-    }
-    if (pending.has_value()) {
-      break;
-    }
-    pos = frame_end;
-    parse_end = frame_end;
+// The string table payload at [off, off + len). False if it is malformed;
+// a well-formed table starts with the empty string.
+bool DecodeStringTable(std::string_view bytes, size_t off, size_t len,
+                       std::vector<std::string>* strings) {
+  ByteCursor c{bytes.data(), off + len, off};
+  uint64_t count = 0;
+  if (!GetVarint(c, &count) || count > len) {
+    return false;
   }
-
-  // --- Parallel CRC sweep over every frame the walk admitted (including a
-  // frame whose structural error is pending: its CRC check came first in
-  // the serial order). Earliest failure wins. ---
-  std::vector<uint8_t> crc_good(frames.size(), 1);
-  auto crc_body = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const FrameRef& f = frames[i];
-      uint32_t crc = Crc32(bytes.data() + f.marker_pos + sizeof(kTraceFrameMarker),
-                           kHeader - sizeof(kTraceFrameMarker) + f.length);
-      crc_good[i] = crc == LoadUint32LE(bytes.data() + f.payload_off + f.length) ? 1 : 0;
+  strings->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string s;
+    if (!GetString(c, &s)) {
+      return false;
     }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(frames.size(), crc_body);
-  } else {
-    crc_body(0, frames.size());
+    strings->push_back(std::move(s));
   }
-  for (size_t i = 0; i < frames.size(); ++i) {
-    if (!crc_good[i]) {
-      return OffsetError(frames[i].marker_pos, "frame CRC mismatch");
-    }
-  }
-  if (pending.has_value()) {
-    return *pending;
-  }
-  if (!saw_end) {
-    return OffsetError(parse_end, "missing end frame (truncated trace)");
-  }
-  report.frames_ok = frames.size();
-
-  // --- Phase B: payload decoding. Strings and stacks are small and stay
-  // serial; event frames decode in parallel into per-frame slots merged in
-  // writer order. ---
-  if (!strings_frame.has_value()) {
-    return OffsetError(parse_end, "missing string table");
-  }
-  std::vector<std::string> strings;
-  {
-    ByteCursor c{bytes.data(), strings_frame->first + strings_frame->second,
-                 strings_frame->first};
-    uint64_t count = 0;
-    bool strings_ok = GetVarint(c, &count) && count <= strings_frame->second;
-    if (strings_ok) {
-      strings.reserve(count);
-      for (uint64_t i = 0; i < count && strings_ok; ++i) {
-        std::string s;
-        strings_ok = GetString(c, &s);
-        if (strings_ok) {
-          strings.push_back(std::move(s));
-        }
-      }
-      strings_ok = strings_ok && !strings.empty() && strings[0].empty();
-    }
-    if (!strings_ok) {
-      return OffsetError(strings_frame->first, "malformed string table");
-    }
-  }
-
-  if (!stacks_frame.has_value()) {
-    return OffsetError(parse_end, "missing stack table");
-  }
-  std::vector<CallStack> stacks;
-  {
-    ByteCursor c{bytes.data(), stacks_frame->first + stacks_frame->second,
-                 stacks_frame->first};
-    uint64_t count = 0;
-    bool stacks_ok = GetVarint(c, &count) && count <= stacks_frame->second;
-    if (stacks_ok) {
-      stacks.reserve(count);
-      for (uint64_t i = 0; i < count && stacks_ok; ++i) {
-        uint64_t frame_count = 0;
-        stacks_ok = GetVarint(c, &frame_count) && frame_count <= kMaxStackFrames;
-        if (!stacks_ok) {
-          break;
-        }
-        CallStack stack;
-        stack.frames.reserve(frame_count);
-        for (uint64_t f = 0; f < frame_count && stacks_ok; ++f) {
-          uint64_t frame = 0;
-          stacks_ok = GetVarint(c, &frame) && frame < UINT32_MAX;
-          if (stacks_ok) {
-            stack.frames.push_back(static_cast<StringId>(frame));
-          }
-        }
-        if (stacks_ok) {
-          stacks.push_back(std::move(stack));
-        }
-      }
-    }
-    if (!stacks_ok) {
-      return OffsetError(stacks_frame->first, "malformed stack table");
-    }
-  }
-  const size_t pool_size = strings.size();
-  for (const CallStack& stack : stacks) {
-    for (StringId frame : stack.frames) {
-      if (frame >= pool_size) {
-        return OffsetError(stacks_frame->first, "stack frame references unknown string");
-      }
-    }
-  }
-
-  // Each event frame leads with its event count, bounded by the frame's
-  // length. Prefix sums over the counts give every frame its slice of the
-  // trace's one event array, so the parallel decode writes each event
-  // straight into its final slot; nothing is merged afterwards.
-  const size_t stack_count = stacks.size();
-  struct FrameDecode {
-    size_t first_event = 0;  // Index of the frame's first event in the trace.
-    uint64_t count = 0;
-    size_t body_off = 0;  // First record, just past the count.
-    size_t error_offset = 0;
-    const char* error = nullptr;
-    // String/stack references are validated during the parallel decode
-    // (pool_size and stack_count are fixed by then); decode errors keep
-    // priority over reference errors below, matching the serial order.
-    bool bad_reference = false;
-  };
-  std::vector<FrameDecode> slots(event_frames.size());
-  size_t total_events = 0;
-  for (size_t j = 0; j < slots.size(); ++j) {
-    const auto& [off, len] = event_frames[j];
-    FrameDecode& slot = slots[j];
-    ByteCursor c{bytes.data(), off + len, off};
-    if (!GetVarint(c, &slot.count) || slot.count > len) {
-      slot.count = 0;
-      slot.error_offset = off;
-      slot.error = "malformed event frame";
-    }
-    slot.first_event = total_events;
-    slot.body_off = c.pos;
-    total_events += slot.count;
-  }
-
-  Trace trace;
-  std::vector<TraceEvent>& events = trace.mutable_events();
-  events.resize(total_events);
-  auto decode_body = [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      FrameDecode& slot = slots[j];
-      if (slot.error != nullptr) {
-        continue;
-      }
-      const auto& [off, len] = event_frames[j];
-      ByteCursor c{bytes.data(), off + len, slot.body_off};
-      for (uint64_t i = 0; i < slot.count; ++i) {
-        size_t record_start = c.pos;
-        TraceEvent& e = events[slot.first_event + i];
-        if (!GetEvent(c, &e)) {
-          slot.error_offset = record_start;
-          slot.error = "truncated or malformed event";
-          break;
-        }
-        // Append() would have numbered each event as it landed; do the same.
-        e.seq = slot.first_event + i;
-        if (e.name >= pool_size || e.loc.file >= pool_size ||
-            (e.stack != kInvalidStack && e.stack >= stack_count)) {
-          slot.bad_reference = true;
-        }
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(slots.size(), decode_body);
-  } else {
-    decode_body(0, slots.size());
-  }
-  for (const FrameDecode& slot : slots) {
-    if (slot.error != nullptr) {
-      return OffsetError(slot.error_offset, slot.error);
-    }
-  }
-  for (const FrameDecode& slot : slots) {
-    if (slot.bad_reference) {
-      return OffsetError(parse_end, "event references unknown string");
-    }
-  }
-  trace.mutable_string_pool().Reset(std::move(strings));
-  trace.ResetStacks(std::move(stacks));
-
-  report.events_salvaged = trace.size();
-  if (*declared_total != report.events_salvaged) {
-    return OffsetError(parse_end,
-                       StrFormat("event count mismatch: declared %llu, read %llu",
-                                 static_cast<unsigned long long>(*declared_total),
-                                 static_cast<unsigned long long>(report.events_salvaged)));
-  }
-  return std::move(trace);
+  return !strings->empty() && (*strings)[0].empty();
 }
 
-// --- v2 salvage: sequential scan with marker resynchronization.
+// The stack table payload at [off, off + len). False if it is malformed.
+// Frame string references are checked by the caller against the final pool.
+bool DecodeStackTable(std::string_view bytes, size_t off, size_t len,
+                      std::vector<CallStack>* stacks) {
+  ByteCursor c{bytes.data(), off + len, off};
+  uint64_t count = 0;
+  if (!GetVarint(c, &count) || count > len) {
+    return false;
+  }
+  stacks->reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t frame_count = 0;
+    if (!GetVarint(c, &frame_count) || frame_count > kMaxStackFrames) {
+      return false;
+    }
+    CallStack stack;
+    stack.frames.reserve(frame_count);
+    for (uint64_t f = 0; f < frame_count; ++f) {
+      uint64_t frame = 0;
+      if (!GetVarint(c, &frame) || frame >= UINT32_MAX) {
+        return false;
+      }
+      stack.frames.push_back(static_cast<StringId>(frame));
+    }
+    stacks->push_back(std::move(stack));
+  }
+  return true;
+}
+
+// A lost string table leaves the ids in CRC-intact frames genuine but
+// unnamed. Gives each distinct id that a surviving event (name, file) or
+// stack frame still references one placeholder, "lost#<id>" (id 0 stays the
+// empty string), and renumbers the references densely in ascending id
+// order. The mapping is monotone, so every id comparison keeps its result,
+// and the pool is no larger than the references that need it.
+std::vector<std::string> PlaceholderPool(std::vector<CallStack>& stacks,
+                                         std::vector<TraceEvent>& events) {
+  std::vector<StringId> ids = {0};
+  for (const CallStack& stack : stacks) {
+    ids.insert(ids.end(), stack.frames.begin(), stack.frames.end());
+  }
+  for (const TraceEvent& e : events) {
+    ids.push_back(e.name);
+    ids.push_back(e.loc.file);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  auto dense = [&ids](StringId id) {
+    return static_cast<StringId>(std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  };
+  for (CallStack& stack : stacks) {
+    for (StringId& frame : stack.frames) {
+      frame = dense(frame);
+    }
+  }
+  for (TraceEvent& e : events) {
+    e.name = dense(e.name);
+    e.loc.file = dense(e.loc.file);
+  }
+  std::vector<std::string> strings;
+  strings.reserve(ids.size());
+  for (StringId id : ids) {
+    strings.push_back(id == 0 ? std::string()
+                              : StrFormat("lost#%llu", static_cast<unsigned long long>(id)));
+  }
+  return strings;
+}
+
+// --- v2: one reader for both modes, in three steps.
+//
+// 1. A serial frame walk checks every frame's marker, length and CRC. In
+//    strict mode a fault ends the read, and which fault is reported follows
+//    one priority: a bad marker, a truncated frame or a lying length fails
+//    at once; a bad CRC fails once the walk is over (the first such frame);
+//    a frame out of sequence, after the end frame, of an unexpected type or
+//    a malformed end frame stops the walk and fails if no CRC did; then a
+//    missing end frame. In salvage mode the walk instead resynchronizes to
+//    the next frame marker past any bad frame, skips duplicated seqs and
+//    unknown frame types, and counts all of it in the report.
+// 2. The string and stack tables decode once. Strict mode fails on a
+//    missing or malformed table, then on a stack frame naming an unknown
+//    string; salvage marks the table lost (a lost string table gets a
+//    placeholder pool) or the stack invalid.
+// 3. The event frames, in seq order, decode in parallel on the pool. Their
+//    leading counts, bounded by each frame's length, give every frame its
+//    slice of the trace's one event array by prefix sums, so each event is
+//    written straight into its final slot. Strict mode fails on the first
+//    frame that does not decode, then on any event reference to an unknown
+//    string or stack, then on an event count other than the end frame's.
+//    Salvage keeps every event that decoded and names known strings (it
+//    clears an unknown stack reference); only when something was dropped
+//    does it close the gaps and renumber seq. Results are identical at any
+//    pool size.
 Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& options,
                           TraceReadReport& report) {
   report.format_version = 2;
@@ -648,24 +472,32 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
   const size_t kTrailer = kTraceFrameTrailerSize;
   const char* marker = reinterpret_cast<const char*>(kTraceFrameMarker);
 
-  std::optional<std::pair<size_t, size_t>> strings_frame;  // (payload offset, length)
-  std::optional<std::pair<size_t, size_t>> stacks_frame;
-  std::vector<std::tuple<uint32_t, size_t, size_t>> event_frames;  // (seq, offset, length)
+  struct FrameRef {
+    uint32_t seq = 0;
+    size_t off = 0;  // Payload offset.
+    size_t len = 0;
+  };
+  std::optional<FrameRef> strings_frame;
+  std::optional<FrameRef> stacks_frame;
+  std::vector<FrameRef> event_frames;
   std::optional<uint64_t> declared_total;
-  bool saw_end = false;
-  std::set<uint32_t> seen_seqs;
+  std::optional<Status> crc_fault;    // Strict: the first frame with a bad CRC.
+  std::optional<Status> order_fault;  // Strict: the fault that stopped the walk.
+  std::set<uint32_t> seen_seqs;       // Salvage: the seqs of the intact frames.
   uint32_t expected_seq = 0;
   size_t pos = sizeof(kMagicV2);
   size_t parse_end = pos;
 
-  // --- Phase 1: frame scan. ---
+  // --- Step 1: the frame walk. ---
   while (pos < bytes.size()) {
-    size_t marker_pos = bytes.find(marker, pos, sizeof(kTraceFrameMarker));
-    if (marker_pos != pos) {
+    size_t marker_pos = pos;
+    if (bytes.compare(pos, sizeof(kTraceFrameMarker), marker, sizeof(kTraceFrameMarker)) !=
+        0) {
       if (!salvage) {
         return OffsetError(pos, "bad frame marker");
       }
-      if (marker_pos == std::string::npos) {
+      marker_pos = bytes.find(marker, pos, sizeof(kTraceFrameMarker));
+      if (marker_pos == std::string_view::npos) {
         report.bytes_skipped += bytes.size() - pos;
         break;
       }
@@ -681,14 +513,13 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
       report.bytes_skipped += bytes.size() - marker_pos;
       break;
     }
-    uint8_t type = static_cast<uint8_t>(bytes[marker_pos + 4]);
-    uint32_t seq = LoadUint32LE(bytes.data() + marker_pos + 5);
-    uint64_t length = LoadUint32LE(bytes.data() + marker_pos + 9);
+    const uint8_t type = static_cast<uint8_t>(bytes[marker_pos + 4]);
+    const uint32_t seq = LoadUint32LE(bytes.data() + marker_pos + 5);
+    const uint64_t length = LoadUint32LE(bytes.data() + marker_pos + 9);
     if (length > kMaxFramePayload || marker_pos + kHeader + length + kTrailer > bytes.size()) {
       if (!salvage) {
-        return OffsetError(marker_pos,
-                           StrFormat("frame length %llu exceeds remaining bytes",
-                                     static_cast<unsigned long long>(length)));
+        return OffsetError(marker_pos, StrFormat("frame length %llu exceeds remaining bytes",
+                                                 static_cast<unsigned long long>(length)));
       }
       // A lying length field (or genuine truncation). Rescan just past this
       // marker: if the rest of the frame is intact, the next marker is real.
@@ -696,77 +527,87 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
       pos = marker_pos + sizeof(kTraceFrameMarker);
       continue;
     }
-    uint32_t crc = Crc32(bytes.data() + marker_pos + sizeof(kTraceFrameMarker),
-                         kHeader - sizeof(kTraceFrameMarker) + length);
-    uint32_t stored = LoadUint32LE(bytes.data() + marker_pos + kHeader + length);
-    if (crc != stored) {
-      if (!salvage) {
-        return OffsetError(marker_pos, "frame CRC mismatch");
+    const size_t payload_off = marker_pos + kHeader;
+    const size_t frame_end = payload_off + length + kTrailer;
+    // Once a strict walk has a CRC fault, only a later marker, truncation
+    // or length fault can outrank it, so later CRCs go unchecked.
+    if (!crc_fault.has_value()) {
+      const uint32_t crc = Crc32(bytes.data() + marker_pos + sizeof(kTraceFrameMarker),
+                                 kHeader - sizeof(kTraceFrameMarker) + length);
+      if (crc != LoadUint32LE(bytes.data() + payload_off + length)) {
+        if (!salvage) {
+          crc_fault = OffsetError(marker_pos, "frame CRC mismatch");
+        } else {
+          ++report.frames_bad_crc;
+          pos = marker_pos + sizeof(kTraceFrameMarker);
+          continue;
+        }
       }
-      ++report.frames_bad_crc;
-      pos = marker_pos + sizeof(kTraceFrameMarker);
-      continue;
     }
-
-    // Intact frame.
-    size_t payload_off = marker_pos + kHeader;
-    size_t frame_end = payload_off + length + kTrailer;
-    if (salvage && !seen_seqs.insert(seq).second) {
-      ++report.frames_duplicate;
-      pos = frame_end;
-      continue;
-    }
-    ++report.frames_ok;
-    if (!salvage) {
+    if (salvage) {
+      if (!seen_seqs.insert(seq).second) {
+        ++report.frames_duplicate;
+        pos = frame_end;
+        continue;
+      }
+    } else {
       // The writer emits strings, stacks, events*, end — strictly in order.
       if (seq != expected_seq) {
-        return OffsetError(marker_pos, "frame out of sequence");
+        order_fault = OffsetError(marker_pos, "frame out of sequence");
+        break;
       }
       ++expected_seq;
-      if (saw_end) {
-        return OffsetError(marker_pos, "frame after end frame");
+      if (declared_total.has_value()) {
+        order_fault = OffsetError(marker_pos, "frame after end frame");
+        break;
       }
       if ((seq == 0 && type != kFrameStrings) || (seq == 1 && type != kFrameStacks) ||
           (seq >= 2 && type != kFrameEvents && type != kFrameEnd)) {
-        return OffsetError(marker_pos, "unexpected frame type");
+        order_fault = OffsetError(marker_pos, "unexpected frame type");
+        break;
       }
     }
+    ++report.frames_ok;
     switch (type) {
       case kFrameStrings:
         if (!strings_frame.has_value()) {
-          strings_frame = {payload_off, length};
+          strings_frame = FrameRef{seq, payload_off, length};
         }
         break;
       case kFrameStacks:
         if (!stacks_frame.has_value()) {
-          stacks_frame = {payload_off, length};
+          stacks_frame = FrameRef{seq, payload_off, length};
         }
         break;
       case kFrameEvents:
-        event_frames.emplace_back(seq, payload_off, length);
+        event_frames.push_back({seq, payload_off, length});
         break;
       case kFrameEnd: {
         ByteCursor c{bytes.data(), payload_off + length, payload_off};
         uint64_t total = 0;
         if (GetVarint(c, &total)) {
           declared_total = total;
-          saw_end = true;
         } else if (!salvage) {
-          return OffsetError(payload_off, "malformed end frame");
+          order_fault = OffsetError(payload_off, "malformed end frame");
         }
         break;
       }
       default:
-        if (!salvage) {
-          return OffsetError(marker_pos, "unknown frame type");
-        }
-        break;  // Intact but unknown: skip (forward compatibility).
+        break;  // Salvage: intact but unknown (forward compatibility).
+    }
+    if (order_fault.has_value()) {
+      break;
     }
     pos = frame_end;
     parse_end = frame_end;
   }
-
-  if (!saw_end) {
+  if (crc_fault.has_value()) {
+    return *crc_fault;
+  }
+  if (order_fault.has_value()) {
+    return *order_fault;
+  }
+  if (!declared_total.has_value()) {
     if (!salvage) {
       return OffsetError(parse_end, "missing end frame (truncated trace)");
     }
@@ -775,146 +616,48 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
       report.truncation_offset = parse_end;
     }
   }
-  if (salvage && report.frames_ok == 0) {
+  if (report.frames_ok == 0) {
     return OffsetError(sizeof(kMagicV2), "no intact frames");
   }
 
-  // --- Phase 2: assemble the trace from the intact frames. ---
-
-  // String table.
+  // --- Step 2: the string and stack tables. ---
   std::vector<std::string> strings;
-  bool strings_ok = false;
-  if (strings_frame.has_value()) {
-    ByteCursor c{bytes.data(), strings_frame->first + strings_frame->second,
-                 strings_frame->first};
-    uint64_t count = 0;
-    strings_ok = GetVarint(c, &count) && count <= strings_frame->second;
-    if (strings_ok) {
-      strings.reserve(count);
-      for (uint64_t i = 0; i < count && strings_ok; ++i) {
-        std::string s;
-        strings_ok = GetString(c, &s);
-        if (strings_ok) {
-          strings.push_back(std::move(s));
-        }
-      }
-      strings_ok = strings_ok && !strings.empty() && strings[0].empty();
+  if (!strings_frame.has_value()) {
+    if (!salvage) {
+      return OffsetError(parse_end, "missing string table");
     }
-    if (!strings_ok && !salvage) {
-      return OffsetError(strings_frame->first, "malformed string table");
+  } else if (!DecodeStringTable(bytes, strings_frame->off, strings_frame->len, &strings)) {
+    if (!salvage) {
+      return OffsetError(strings_frame->off, "malformed string table");
     }
-  } else if (!salvage) {
-    return OffsetError(parse_end, "missing string table");
-  }
-  if (!strings_ok) {
     strings.clear();
-    report.string_table_lost = true;
   }
+  report.string_table_lost = strings.empty();
 
-  // Stack table (string references validated after the pool is final).
   std::vector<CallStack> stacks;
-  bool stacks_ok = false;
-  if (stacks_frame.has_value()) {
-    ByteCursor c{bytes.data(), stacks_frame->first + stacks_frame->second,
-                 stacks_frame->first};
-    uint64_t count = 0;
-    stacks_ok = GetVarint(c, &count) && count <= stacks_frame->second;
-    if (stacks_ok) {
-      stacks.reserve(count);
-      for (uint64_t i = 0; i < count && stacks_ok; ++i) {
-        uint64_t frame_count = 0;
-        stacks_ok = GetVarint(c, &frame_count) && frame_count <= kMaxStackFrames;
-        if (!stacks_ok) {
-          break;
-        }
-        CallStack stack;
-        stack.frames.reserve(frame_count);
-        for (uint64_t f = 0; f < frame_count && stacks_ok; ++f) {
-          uint64_t frame = 0;
-          stacks_ok = GetVarint(c, &frame) && frame < UINT32_MAX;
-          if (stacks_ok) {
-            stack.frames.push_back(static_cast<StringId>(frame));
-          }
-        }
-        if (stacks_ok) {
-          stacks.push_back(std::move(stack));
-        }
-      }
+  if (!stacks_frame.has_value()) {
+    if (!salvage) {
+      return OffsetError(parse_end, "missing stack table");
     }
-    if (!stacks_ok && !salvage) {
-      return OffsetError(stacks_frame->first, "malformed stack table");
+    report.stack_table_lost = true;
+  } else if (!DecodeStackTable(bytes, stacks_frame->off, stacks_frame->len, &stacks)) {
+    if (!salvage) {
+      return OffsetError(stacks_frame->off, "malformed stack table");
     }
-  } else if (!salvage) {
-    return OffsetError(parse_end, "missing stack table");
-  }
-  if (!stacks_ok) {
     stacks.clear();
     report.stack_table_lost = true;
   }
 
-  // Event records (in writer order; duplicates were already dropped).
-  std::sort(event_frames.begin(), event_frames.end());
-  std::vector<TraceEvent> events;
-  for (const auto& [seq, off, len] : event_frames) {
-    (void)seq;
-    ByteCursor c{bytes.data(), off + len, off};
-    uint64_t count = 0;
-    if (!GetVarint(c, &count) || count > len) {
-      if (!salvage) {
-        return OffsetError(off, "malformed event frame");
-      }
-      ++report.bad_event_records;
-      continue;
-    }
-    for (uint64_t i = 0; i < count; ++i) {
-      size_t record_start = c.pos;
-      TraceEvent e;
-      if (!GetEvent(c, &e)) {
-        if (!salvage) {
-          return OffsetError(record_start, "truncated or malformed event");
-        }
-        report.bad_event_records += count - i;
-        break;
-      }
-      events.push_back(e);
-    }
-  }
-
-  // Decide the final string pool. When the table was lost, CRC-intact event
-  // and stack frames still carry genuine writer-produced ids, so a
-  // placeholder pool bounded by the maximum reference keeps every lookup
-  // safe while preserving the trace's structure.
-  uint64_t max_sid = 0;
-  for (const CallStack& stack : stacks) {
-    for (StringId frame : stack.frames) {
-      max_sid = std::max<uint64_t>(max_sid, frame);
-    }
-  }
-  for (const TraceEvent& e : events) {
-    max_sid = std::max<uint64_t>(max_sid, e.name);
-    max_sid = std::max<uint64_t>(max_sid, e.loc.file);
-  }
-  if (report.string_table_lost) {
-    if (max_sid >= kMaxPlaceholderStrings) {
-      return OffsetError(sizeof(kMagicV2), "string table lost and references unbounded");
-    }
-    strings.reserve(max_sid + 1);
-    strings.emplace_back();
-    for (uint64_t i = 1; i <= max_sid; ++i) {
-      strings.push_back(StrFormat("lost#%llu", static_cast<unsigned long long>(i)));
-    }
-  }
-  const size_t pool_size = strings.size();
-
-  // Validate stack-table string references; a stack with a dangling
-  // reference is dropped (events pointing at it get their reference
-  // cleared below).
+  // Every string id in surviving frames gets a placeholder when the table
+  // was lost, so then no reference dangles. A stack naming an unknown
+  // string is invalid: its frames are dropped and its references cleared.
+  const uint64_t string_limit = report.string_table_lost ? UINT64_MAX : strings.size();
   std::vector<bool> stack_valid(stacks.size(), true);
   for (size_t i = 0; i < stacks.size(); ++i) {
     for (StringId frame : stacks[i].frames) {
-      if (frame >= pool_size) {
+      if (frame >= string_limit) {
         if (!salvage) {
-          return OffsetError(stacks_frame->first, "stack frame references unknown string");
+          return OffsetError(stacks_frame->off, "stack frame references unknown string");
         }
         stack_valid[i] = false;
         stacks[i].frames.clear();
@@ -923,33 +666,120 @@ Result<Trace> ReadTraceV2(std::string_view bytes, const TraceReadOptions& option
     }
   }
 
-  Trace trace;
-  trace.mutable_string_pool().Reset(std::move(strings));
-  trace.ResetStacks(std::move(stacks));
-  for (TraceEvent& e : events) {
-    if (!FixupEventRefs(&e, pool_size, stack_valid, salvage, report)) {
-      if (!salvage) {
-        return OffsetError(parse_end, "event references unknown string");
-      }
-      ++report.bad_event_records;
-      continue;
+  // --- Step 3: the events. ---
+  std::sort(event_frames.begin(), event_frames.end(),
+            [](const FrameRef& a, const FrameRef& b) { return a.seq < b.seq; });
+  // Marks an event that does not survive a salvage read.
+  constexpr uint64_t kDropped = UINT64_MAX;
+  struct FrameDecode {
+    size_t first_event = 0;  // Index of the frame's first event in the trace.
+    uint64_t count = 0;
+    size_t body_off = 0;  // First record, just past the count.
+    size_t error_offset = 0;
+    const char* error = nullptr;
+    // Events of the slice marked kDropped: they did not decode, or name an
+    // unknown string (strict: or stack). A strict read fails on a decode
+    // error first, whatever its frame, then on a reference.
+    uint64_t dropped = 0;
+    // Salvage counts: bad records (a malformed frame counts once) and
+    // stack references cleared.
+    uint64_t bad_records = 0;
+    uint64_t stack_refs_cleared = 0;
+  };
+  std::vector<FrameDecode> slots(event_frames.size());
+  size_t total_events = 0;
+  for (size_t j = 0; j < slots.size(); ++j) {
+    const FrameRef& frame = event_frames[j];
+    FrameDecode& slot = slots[j];
+    ByteCursor c{bytes.data(), frame.off + frame.len, frame.off};
+    if (!GetVarint(c, &slot.count) || slot.count > frame.len) {
+      slot.count = 0;
+      slot.error_offset = frame.off;
+      slot.error = "malformed event frame";
+      slot.bad_records = 1;
     }
-    trace.Append(e);
+    slot.first_event = total_events;
+    slot.body_off = c.pos;
+    total_events += slot.count;
   }
 
-  report.events_salvaged = trace.size();
-  if (declared_total.has_value() && *declared_total > report.events_salvaged) {
-    report.events_dropped = *declared_total - report.events_salvaged;
+  Trace trace;
+  std::vector<TraceEvent>& events = trace.mutable_events();
+  events.resize(total_events);
+  auto decode_body = [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      FrameDecode& slot = slots[j];
+      if (slot.error != nullptr) {
+        continue;
+      }
+      const FrameRef& frame = event_frames[j];
+      ByteCursor c{bytes.data(), frame.off + frame.len, slot.body_off};
+      for (uint64_t i = 0; i < slot.count; ++i) {
+        size_t record_start = c.pos;
+        TraceEvent& e = events[slot.first_event + i];
+        if (!GetEvent(c, &e)) {
+          slot.error_offset = record_start;
+          slot.error = "truncated or malformed event";
+          slot.bad_records += slot.count - i;
+          slot.dropped += slot.count - i;
+          for (uint64_t k = i; k < slot.count; ++k) {
+            events[slot.first_event + k].seq = kDropped;
+          }
+          break;
+        }
+        // Append() would have numbered each event as it landed; do the same.
+        e.seq = slot.first_event + i;
+        if (!FixupEventRefs(&e, string_limit, stack_valid, salvage,
+                            &slot.stack_refs_cleared)) {
+          ++slot.bad_records;
+          ++slot.dropped;
+          e.seq = kDropped;
+        }
+      }
+    }
+  };
+  if (options.pool != nullptr) {
+    options.pool->ParallelFor(slots.size(), decode_body);
   } else {
-    report.events_dropped = report.bad_event_records;
+    decode_body(0, slots.size());
   }
-  if (!salvage && declared_total.has_value() && *declared_total != report.events_salvaged) {
+  uint64_t dropped = 0;
+  for (const FrameDecode& slot : slots) {
+    if (!salvage && slot.error != nullptr) {
+      return OffsetError(slot.error_offset, slot.error);
+    }
+    dropped += slot.dropped;
+    report.bad_event_records += slot.bad_records;
+    report.stack_refs_cleared += slot.stack_refs_cleared;
+  }
+  if (!salvage && dropped > 0) {
+    return OffsetError(parse_end, "event references unknown string");
+  }
+  if (dropped > 0) {
+    std::erase_if(events, [](const TraceEvent& e) { return e.seq == kDropped; });
+    for (size_t i = 0; i < events.size(); ++i) {
+      events[i].seq = i;
+    }
+  }
+  if (report.string_table_lost) {
+    strings = PlaceholderPool(stacks, events);
+  }
+  trace.mutable_string_pool().Reset(std::move(strings));
+  trace.ResetStacks(std::move(stacks));
+
+  report.events_salvaged = trace.size();
+  if (!salvage && *declared_total != report.events_salvaged) {
     return OffsetError(parse_end,
                        StrFormat("event count mismatch: declared %llu, read %llu",
                                  static_cast<unsigned long long>(*declared_total),
                                  static_cast<unsigned long long>(report.events_salvaged)));
   }
-  return std::move(trace);
+  if (declared_total.has_value() && *declared_total > report.events_salvaged) {
+    report.events_dropped = *declared_total - report.events_salvaged;
+  } else {
+    report.events_dropped = report.bad_event_records;
+  }
+  return trace;
 }
 
 }  // namespace
@@ -1020,9 +850,6 @@ Result<Trace> ReadTraceFromBytes(std::string_view bytes, const TraceReadOptions&
     return Status::Error("ReadTrace: offset 0x0: input shorter than magic");
   }
   if (std::memcmp(bytes.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
-    if (!options.salvage) {
-      return ReadTraceV2Strict(bytes, options.pool, rep);
-    }
     return ReadTraceV2(bytes, options, rep);
   }
   if (std::memcmp(bytes.data(), kMagicV1, sizeof(kMagicV1)) == 0) {

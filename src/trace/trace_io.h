@@ -56,10 +56,9 @@ struct TraceReadOptions {
   // frame marker) and a partial trace is returned instead of an error.
   // Reading fails only if nothing interpretable survives.
   bool salvage = false;
-  // When set, the strict v2 read runs frame CRCs and event-frame decoding
-  // on the pool. Results — the trace and every error message — are
-  // identical to the serial read at any thread count; salvage mode ignores
-  // the pool (resynchronization is inherently sequential).
+  // When set, the v2 read decodes its event frames on the pool, in both
+  // modes. Results — the trace, every error message and the report — are
+  // identical to the serial read at any thread count.
   ThreadPool* pool = nullptr;
 };
 

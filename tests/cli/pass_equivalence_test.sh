@@ -87,10 +87,22 @@ grep -q '"phases"' "$DIR/timings.json"
 
 # Salvage x snapshot: importing a damaged trace with --salvage must produce
 # a snapshot whose analysis is byte-identical to analyzing the damaged
-# trace directly in salvage mode, for every pass, at any thread count.
-head -c 60000 "$DIR/eq.trace" > "$DIR/eq_damaged.trace"
+# trace directly in salvage mode, for every pass, at any thread count. The
+# damage: the trace is cut short and one byte in its middle is overwritten,
+# so salvage skips a bad frame, resynchronizes and keeps about ten event
+# frames, which it decodes on --jobs lanes into the same .lockdb bytes.
+head -c 900000 "$DIR/eq.trace" > "$DIR/eq_damaged.trace"
+printf '\377' | dd of="$DIR/eq_damaged.trace" bs=1 seek=400000 conv=notrunc 2> /dev/null
 "$LOCKDOC" import "$DIR/eq_damaged.trace" --out "$DIR/eq_salvaged.lockdb" --salvage \
-  > /dev/null
+  --jobs 1 > /dev/null
+for jobs in 2 8; do
+  "$LOCKDOC" import "$DIR/eq_damaged.trace" --out "$DIR/eq_salvaged_j$jobs.lockdb" --salvage \
+    --jobs "$jobs" > /dev/null
+  cmp "$DIR/eq_salvaged.lockdb" "$DIR/eq_salvaged_j$jobs.lockdb" || {
+    echo "FAIL: import --salvage at --jobs $jobs differs from --jobs 1" >&2
+    exit 1
+  }
+done
 for pass in check derive violations lock-order modes report; do
   "$LOCKDOC" "$pass" "$DIR/eq_damaged.trace" --salvage > "$DIR/standalone.txt"
   for jobs in 1 2 8; do

@@ -1,6 +1,8 @@
 #include "src/trace/trace_io.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -377,7 +379,7 @@ TEST(TraceIoTest, SalvageSurvivesStringTableLoss) {
   EXPECT_NO_FATAL_FAILURE((void)salvaged.value().String(e.name));
 }
 
-// The strict v2 reader decodes every event frame straight into its slice of
+// The v2 reader decodes every event frame straight into its slice of
 // the trace's event array; at any thread count the trace is the serial one,
 // seq numbers included.
 TEST(TraceIoTest, ParallelInPlaceDecodeMatchesSerial) {
@@ -483,6 +485,88 @@ TEST(TraceIoTest, StrictDecodeErrorOutranksEarlierBadReference) {
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().message(), OffsetMessage(frame_end, "truncated or malformed event"))
         << "threads=" << threads;
+  }
+}
+
+// Writes `trace` as v2 and breaks the CRC of its string frame, which holds
+// only the empty string (a 2-byte payload), so the table is lost.
+std::string WithLostStringTable(const Trace& trace) {
+  std::ostringstream out;
+  WriteTrace(trace, out);
+  std::string bytes = out.str();
+  bytes[8 + kTraceFrameHeaderSize + 2] ^= 0x01;
+  return bytes;
+}
+
+Result<Trace> Salvage(const std::string& bytes, size_t threads, TraceReadReport* report) {
+  ThreadPool pool(threads);
+  TraceReadOptions options;
+  options.salvage = true;
+  options.pool = &pool;
+  return ReadTraceFromBytes(bytes, options, report);
+}
+
+// A 98-byte trace whose one event names string id 2^24 - 1 and whose string
+// table is lost. Salvage makes one placeholder for that reference, not one
+// for every id below it.
+TEST(TraceIoTest, LostStringTableGetsOnePlaceholderPerReference) {
+  Trace trace;
+  TraceEvent read;
+  read.kind = EventKind::kMemRead;
+  read.addr = 0x1000;
+  read.size = 8;
+  read.name = (1u << 24) - 1;
+  trace.Append(read);
+  const std::string bytes = WithLostStringTable(trace);
+  ASSERT_EQ(bytes.size(), 98u);
+
+  auto strict = ReadTraceFromBytes(bytes, {}, nullptr);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().message(), OffsetMessage(8, "frame CRC mismatch"));
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    TraceReadReport report;
+    auto salvaged = Salvage(bytes, threads, &report);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.status().message();
+    EXPECT_TRUE(report.string_table_lost);
+    ASSERT_EQ(salvaged.value().size(), 1u);
+    EXPECT_EQ(salvaged.value().string_pool().size(), 2u);
+    const TraceEvent& e = salvaged.value().event(0);
+    EXPECT_EQ(salvaged.value().String(e.name), "lost#16777215");
+    EXPECT_EQ(salvaged.value().String(e.loc.file), "");
+  }
+}
+
+// The placeholder ids are dense and ascending in the original ids, across
+// event names, files and stack frames, so every id comparison keeps its
+// result and every name prints as before.
+TEST(TraceIoTest, LostStringTablePlaceholdersKeepIdOrder) {
+  Trace trace;
+  CallStack stack;
+  stack.frames = {300, 5};
+  const StackId stack_id = trace.InternStack(stack);
+  for (StringId name : {5u, 900u, 70u, 0u}) {
+    TraceEvent write;
+    write.kind = EventKind::kMemWrite;
+    write.name = name;
+    write.loc.file = 70;
+    write.stack = stack_id;
+    trace.Append(write);
+  }
+  const std::string bytes = WithLostStringTable(trace);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    auto salvaged = Salvage(bytes, threads, nullptr);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.status().message();
+    const Trace& got = salvaged.value();
+    EXPECT_EQ(got.string_pool().strings(),
+              (std::vector<std::string>{"", "lost#5", "lost#70", "lost#300", "lost#900"}));
+    ASSERT_EQ(got.size(), 4u);
+    std::vector<StringId> names;
+    for (const TraceEvent& e : got.events()) {
+      names.push_back(e.name);
+      EXPECT_EQ(got.String(e.loc.file), "lost#70");
+    }
+    EXPECT_EQ(names, (std::vector<StringId>{1, 4, 2, 0}));
+    EXPECT_EQ(got.FormatStack(stack_id), "lost#300 <- lost#5");
   }
 }
 

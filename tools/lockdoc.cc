@@ -170,13 +170,10 @@ struct LoadedTrace {
 bool LoadTraceFromPath(const std::string& path, const FlagSet& flags, LoadedTrace* out) {
   TraceReadOptions options;
   options.salvage = flags.GetBool("salvage", false);
-  // Strict reads fan frame CRCs and event decoding out over --jobs lanes;
-  // the resulting trace (and any error) is identical at any job count.
-  std::unique_ptr<ThreadPool> pool;
-  if (!options.salvage) {
-    pool = std::make_unique<ThreadPool>(flags.GetUint64("jobs", 0));
-    options.pool = pool.get();
-  }
+  // Both modes decode event frames over --jobs lanes; the resulting trace
+  // (and any error or damage report) is identical at any job count.
+  ThreadPool pool(flags.GetUint64("jobs", 0));
+  options.pool = &pool;
   TraceReadReport report;
   auto loaded = ReadTraceFromFile(path, options, &report);
   if (!loaded.ok()) {
